@@ -31,9 +31,8 @@
 // describe()/parse() REPRO round-trip (a chaos failure's fault
 // schedule is reproducible from its printed descriptor).
 //
-// Results go to BENCH_chaos.json (validated in CI by
-// check_bench_json.py --chaos); exit status is nonzero if any gate
-// fails.
+// Results go to BENCH_chaos.json with their gates (bench/report.h);
+// exit status is nonzero if any gate fails.
 
 #include <fcntl.h>
 #include <signal.h>
@@ -57,6 +56,7 @@
 #include "service/chaos.h"
 #include "service/client.h"
 #include "service/service.h"
+#include "service/supervisor.h"
 #include "sim/faults.h"
 #include "util/check.h"
 #include "util/format.h"
@@ -169,21 +169,6 @@ std::vector<std::string> compute_oracle() {
     dumps.push_back(resp.at("result").dump());
   }
   return dumps;
-}
-
-std::string find_shlcpd() {
-  if (const char* env = std::getenv("SHLCP_SHLCPD")) {
-    return env;
-  }
-  // Common working directories: the build tree root (CI), the repo
-  // root, and bench/ inside the build tree.
-  for (const char* candidate :
-       {"examples/shlcpd", "build/examples/shlcpd", "../examples/shlcpd"}) {
-    if (::access(candidate, X_OK) == 0) {
-      return candidate;
-    }
-  }
-  return "";
 }
 
 struct Daemon {
@@ -474,16 +459,12 @@ bool check_torn_entries(const std::string& socket_path,
 }
 
 /// Replays one plan's write schedule twice over fresh socketpairs; the
-/// observed fault counts must be identical (and actually nonzero), and
-/// the plan's descriptor must round-trip through parse(). This is the
-/// REPRO contract: the printed descriptor IS the fault schedule.
+/// observed fault counts must be identical (and actually nonzero). With
+/// the descriptor round-trip gated in main, this is the REPRO contract:
+/// the printed descriptor IS the fault schedule.
 bool check_replay(const ChaosPlan& base) {
   ChaosPlan plan = base;
   plan.reset_permille = 0;  // keep the connection alive for all writes
-  if (ChaosPlan::parse(plan.describe()).describe() != plan.describe()) {
-    std::fprintf(stderr, "bench_chaos: describe/parse round-trip failed\n");
-    return false;
-  }
   const auto run_once = [&plan]() -> ChaosStats {
     int fds[2];
     SHLCP_CHECK_MSG(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) == 0,
@@ -538,7 +519,7 @@ void add_pass_meta(Json& meta, const char* prefix, const PassResult& pass) {
 }  // namespace
 
 int main() {
-  const std::string shlcpd = find_shlcpd();
+  const std::string shlcpd = svc::Supervisor::find_shlcpd(nullptr);
   if (shlcpd.empty()) {
     std::fprintf(stderr,
                  "bench_chaos: cannot find shlcpd (set SHLCP_SHLCPD or run "
@@ -618,38 +599,47 @@ int main() {
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
 
-  const std::uint64_t wrong = chaos.wrong + crash.wrong;
-  const bool chaos_accounted =
-      chaos.ok + chaos.refused + chaos.errors + chaos.lost + chaos.wrong ==
-      chaos.requests;
-  const bool crash_accounted =
-      crash.ok + crash.refused + crash.errors + crash.lost + crash.wrong ==
-      crash.requests;
-  // Under the faulty wire some calls may legitimately exhaust their
-  // retries; they must stay a bounded minority. Under the calm wire the
-  // retry policy must absorb every crash completely.
-  const bool chaos_bounded =
-      chaos.lost * 2 <= chaos.requests && chaos.errors == 0;
-  const bool crash_clean = crash.lost == 0 && crash.errors == 0;
-
   bench::Report report("chaos");
   report.meta()["repro"] = plan.describe();
+  report.meta()["repro_round_trip"] =
+      ChaosPlan::parse(plan.describe()) == plan;
   report.meta()["kills"] = static_cast<std::int64_t>(kills);
-  report.meta()["wrong_responses"] = wrong;
+  report.meta()["wrong_responses"] = chaos.wrong + crash.wrong;
   report.meta()["replay_match"] = replay;
+  report.meta()["reserves_primed"] = primed;
   report.meta()["disk_hit_after_restart"] = disk_hit;
   report.meta()["torn_entry_is_miss"] = torn_miss;
-  report.meta()["accounting_exact"] = chaos_accounted && crash_accounted;
   add_pass_meta(report.meta(), "chaos", chaos);
   add_pass_meta(report.meta(), "crash", crash);
-  report.write();
 
-  const bool gate = wrong == 0 && kills >= kMinKills && chaos_accounted &&
-                    crash_accounted && chaos_bounded && crash_clean &&
-                    primed && disk_hit && torn_miss && replay &&
-                    chaos.requests > 0 && crash.requests > 0;
-  if (!gate) {
-    std::fprintf(stderr, "bench_chaos: GATE FAILED\n");
+  report.gate("wrong_responses", "meta.wrong_responses", "==", 0);
+  report.gate("kills", "meta.kills", ">=", kMinKills);
+  for (const char* flag : {"repro_round_trip", "replay_match",
+                           "reserves_primed", "disk_hit_after_restart",
+                           "torn_entry_is_miss"}) {
+    report.gate(flag, format("meta.%s", flag), "==", true);
   }
-  return gate ? 0 : 1;
+  for (const char* pass : {"chaos", "crash"}) {
+    const auto key = [pass](const char* field) {
+      return format("meta.%s_%s", pass, field);
+    };
+    report.gate(format("%s_requests", pass), key("requests"), ">", 0);
+    // Every call is accounted for exactly once (wrong responses are
+    // gated to zero above).
+    report.gate_sum(format("%s_accounting", pass),
+                    {key("ok"), key("refused"), key("errors"), key("lost")},
+                    "==", key("requests"));
+    report.gate(format("%s_errors", pass), key("errors"), "==", 0);
+    for (const char* diag :
+         {"retries", "reconnects", "timeouts", "digest_mismatches"}) {
+      report.gate(format("%s_%s", pass, diag), key(diag), ">=", 0);
+    }
+  }
+  // Under the faulty wire some calls may legitimately exhaust their
+  // retries; they must stay a bounded minority (lost * 2 <= requests).
+  // Under the calm wire the retry policy must absorb every crash.
+  report.gate_sum("chaos_lost_minority", {"meta.chaos_lost", "meta.chaos_lost"},
+                  "<=", "meta.chaos_requests");
+  report.gate("crash_lost", "meta.crash_lost", "==", 0);
+  return report.write_gated();
 }

@@ -21,9 +21,8 @@
 //     (Router::preference_for) must be the one that actually answered
 //     it, checked against the per-backend forwarded counters.
 //
-// Results go to BENCH_fleet.json (validated in CI by
-// check_bench_json.py --fleet) with one case per fleet size carrying
-// the requests/sec scaling curve. On this repo's CI runners the curve
+// Results go to BENCH_fleet.json with one case per fleet size carrying
+// the requests/sec scaling curve, plus the gates (bench/report.h). On this repo's CI runners the curve
 // is a schema artifact, not a perf claim -- single-core machines
 // serialize the backends -- so the gates are correctness-shaped (bit
 // identity, zero duplicates), never throughput-shaped beyond "> 0".
@@ -50,6 +49,7 @@
 #include "service/cache.h"
 #include "service/router.h"
 #include "service/service.h"
+#include "service/supervisor.h"
 #include "sim/faults.h"
 #include "util/check.h"
 #include "util/format.h"
@@ -152,19 +152,6 @@ std::size_t distinct_keys() {
     keys.insert(svc::artifact_key(op, params));
   }
   return keys.size();
-}
-
-std::string find_shlcpd() {
-  if (const char* env = std::getenv("SHLCP_SHLCPD")) {
-    return env;
-  }
-  for (const char* candidate :
-       {"examples/shlcpd", "build/examples/shlcpd", "../examples/shlcpd"}) {
-    if (::access(candidate, X_OK) == 0) {
-      return candidate;
-    }
-  }
-  return "";
 }
 
 struct Backend {
@@ -355,7 +342,7 @@ CaseResult run_case(const std::string& shlcpd, int n,
 }  // namespace
 
 int main() {
-  const std::string shlcpd = find_shlcpd();
+  const std::string shlcpd = svc::Supervisor::find_shlcpd(nullptr);
   if (shlcpd.empty()) {
     std::fprintf(stderr,
                  "bench_fleet: cannot find shlcpd (set SHLCP_SHLCPD or run "
@@ -368,13 +355,10 @@ int main() {
   const std::vector<std::string> oracle = compute_oracle();
 
   bench::Report report("fleet");
-  std::uint64_t requests = 0;
-  std::uint64_t errors = 0;
-  std::uint64_t wrong = 0;
-  std::uint64_t duplicate_computes = 0;
-  std::uint64_t reroutes = 0;
-  bool ownership_ok = true;
-  bool throughput_ok = true;
+  report.meta()["distinct_keys"] = static_cast<std::uint64_t>(distinct_keys());
+  report.gate("distinct_keys", "meta.distinct_keys", ">", 0);
+  // The first size is the single-backend baseline, the rest the scaling
+  // curve; each case is gated on its own, so a missing one fails too.
   for (const int n : fleet_sizes()) {
     std::printf("== fleet of %d backend(s): %d requests ==\n", n,
                 fleet_requests());
@@ -390,7 +374,8 @@ int main() {
         static_cast<unsigned long long>(r.duplicate_computes),
         static_cast<unsigned long long>(r.reroutes),
         r.ownership_ok ? "ok" : "FAILED");
-    Json& values = report.add_case(format("backends_%d", n));
+    const std::string c = format("backends_%d", n);
+    Json& values = report.add_case(c);
     values["backends"] = static_cast<std::int64_t>(n);
     values["requests"] = r.requests;
     values["ok"] = r.ok;
@@ -402,28 +387,24 @@ int main() {
     values["duplicate_computes"] = r.duplicate_computes;
     values["reroutes"] = r.reroutes;
     values["ownership_ok"] = r.ownership_ok;
-    requests += r.requests;
-    errors += r.errors + r.wrong;
-    wrong += r.wrong;
-    duplicate_computes += r.duplicate_computes;
-    reroutes += r.reroutes;
-    ownership_ok = ownership_ok && r.ownership_ok;
-    throughput_ok = throughput_ok && r.req_per_s > 0;
-  }
 
-  report.meta()["requests"] = requests;
-  report.meta()["errors"] = errors;
-  report.meta()["verified"] = wrong == 0 && requests > 0;
-  report.meta()["duplicate_computes"] = duplicate_computes;
-  report.meta()["reroutes"] = reroutes;
-  report.meta()["ownership_ok"] = ownership_ok;
-  report.meta()["distinct_keys"] = static_cast<std::uint64_t>(distinct_keys());
-  report.write();
-
-  const bool gate = wrong == 0 && errors == 0 && duplicate_computes == 0 &&
-                    ownership_ok && throughput_ok && requests > 0;
-  if (!gate) {
-    std::fprintf(stderr, "bench_fleet: GATE FAILED\n");
+    const auto key = [&c](const char* field) {
+      return format("cases[%s].values.%s", c.c_str(), field);
+    };
+    report.gate(c + ".backends", key("backends"), "==", n);
+    report.gate(c + ".requests", key("requests"), ">", 0);
+    report.gate_sum(c + ".accounting", {key("ok"), key("errors"), key("wrong")},
+                    "==", key("requests"));
+    // Bit-identity with the oracle, and no failed call.
+    for (const char* zero : {"errors", "wrong", "duplicate_computes",
+                             "reroutes"}) {
+      report.gate(c + "." + zero, key(zero), "==", 0);
+    }
+    // Disjoint sharding, recomputed from the raw miss count.
+    report.gate_sum(c + ".sum_misses", {key("sum_misses")}, "<=",
+                    "meta.distinct_keys");
+    report.gate(c + ".ownership_ok", key("ownership_ok"), "==", true);
+    report.gate(c + ".req_per_s", key("req_per_s"), ">", 0);
   }
-  return gate ? 0 : 1;
+  return report.write_gated();
 }

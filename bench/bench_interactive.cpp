@@ -26,9 +26,8 @@
 //     exact (no aborted, none live -- every attempt ends in exactly one
 //     bucket).
 //
-// Results go to BENCH_interactive.json (validated in CI by
-// check_bench_json.py --interactive); exit status is nonzero if any
-// gate fails.
+// Results go to BENCH_interactive.json with their gates
+// (bench/report.h); exit status is nonzero if any gate fails.
 
 #include <chrono>
 #include <cmath>
@@ -47,6 +46,7 @@
 #include "service/service.h"
 #include "util/check.h"
 #include "util/format.h"
+#include "util/hash.h"
 #include "util/json.h"
 
 using namespace shlcp;
@@ -98,7 +98,7 @@ bool run_wire_session(svc::Service& service, const std::string& id,
   if (!response.at("ok").as_bool()) {
     return false;
   }
-  ia::CommitProver prover(coloring, 2, id, ia::fnv1a64(id));
+  ia::CommitProver prover(coloring, 2, id, fnv1a64(id));
   bool verdict = false;
   for (int r = 0; r < rounds; ++r) {
     Json commit = Json::object();
@@ -146,7 +146,6 @@ int main() {
   bench::Report report("interactive");
   report.meta()["seed"] = format("0x%llx", static_cast<unsigned long long>(kSeed));
   report.meta()["schema_interactive"] = ia::kInteractiveSchema;
-  bool gate = true;
 
   // Phase 1: binding, under the converted ChaosPlan standard family.
   {
@@ -172,10 +171,17 @@ int main() {
         static_cast<std::int64_t>(binding.corrupted_messages);
     report.meta()["binding_attacks"] =
         static_cast<std::int64_t>(opt.attacks.size());
-    if (binding.violations != 0 || !binding.report.ok) {
-      std::fprintf(stderr, "bench_interactive: binding gate failed: %s\n",
+    report.meta()["binding_ok"] = binding.report.ok;
+    if (!binding.report.ok) {
+      std::fprintf(stderr, "bench_interactive: binding audit: %s\n",
                    binding.report.summary().c_str());
-      gate = false;
+    }
+    report.gate("binding_violations", "meta.binding_violations", "==", 0);
+    report.gate("binding_ok", "meta.binding_ok", "==", true);
+    // The binding audit actually ran.
+    for (const char* key :
+         {"binding_sessions", "forgeries_tried", "binding_attacks"}) {
+      report.gate(key, format("meta.%s", key), ">", 0);
     }
   }
 
@@ -191,8 +197,9 @@ int main() {
     ia::HidingAuditOptions opt;
     opt.seed = kSeed ^ 0x41D1ULL;
     opt.sessions = hiding_sessions();
+    const std::vector<std::vector<int>> colorings = {*a, b};
     const ia::HidingAuditResult hiding =
-        ia::audit_interactive_hiding("cycle6", g, {*a, b}, 2, opt);
+        ia::audit_interactive_hiding("cycle6", g, colorings, 2, opt);
     bool all_ok = hiding.report.ok;
     for (std::size_t i = 0; i < hiding.per_coloring.size(); ++i) {
       Json& values = report.add_case(format("hiding_coloring_%zu", i));
@@ -208,9 +215,15 @@ int main() {
     report.meta()["hiding_colorings"] =
         static_cast<std::int64_t>(hiding.per_coloring.size());
     if (!all_ok) {
-      std::fprintf(stderr, "bench_interactive: hiding gate failed: %s\n",
+      std::fprintf(stderr, "bench_interactive: hiding audit: %s\n",
                    hiding.report.summary().c_str());
-      gate = false;
+    }
+    report.gate("hiding_ok", "meta.hiding_ok", "==", true);
+    report.gate("hiding_colorings", "meta.hiding_colorings", ">=", 2);
+    for (std::size_t i = 0; i < colorings.size(); ++i) {
+      report.gate(format("hiding_coloring_%zu", i),
+                  format("cases[hiding_coloring_%zu].values.ok", i), "==",
+                  true);
     }
   }
 
@@ -224,7 +237,6 @@ int main() {
     opt.round_counts = {1, 2, 4, 8, 16};
     const std::vector<ia::AmplificationPoint> curve =
         ia::measure_amplification(g, cheat, 2, opt);
-    bool all_within = true;
     for (const ia::AmplificationPoint& p : curve) {
       Json& values = report.add_case(
           format("rounds_%llu", static_cast<unsigned long long>(p.rounds)));
@@ -235,17 +247,24 @@ int main() {
       values["envelope"] = p.envelope;
       values["sigma"] = p.sigma;
       values["within"] = p.within;
-      all_within = all_within && p.within;
-      if (!p.within) {
-        std::fprintf(stderr,
-                     "bench_interactive: amplification gate failed at %llu "
-                     "rounds: rate %.4f > envelope %.4f + 3 sigma\n",
-                     static_cast<unsigned long long>(p.rounds), p.rate,
-                     p.envelope);
-      }
     }
-    report.meta()["amplification_ok"] = all_within;
-    gate = gate && all_within;
+    // Declared from the requested round counts, so a missing point fails.
+    for (const std::uint64_t rounds : opt.round_counts) {
+      const std::string c =
+          format("rounds_%llu", static_cast<unsigned long long>(rounds));
+      const auto key = [&c](const char* field) {
+        return format("cases[%s].values.%s", c.c_str(), field);
+      };
+      report.gate(c + ".rounds", key("rounds"), "==", rounds);
+      report.gate(c + ".sessions", key("sessions"), ">", 0);
+      report.gate(c + ".accepted", key("accepted"), ">", 0);
+      for (const char* unit : {"rate", "envelope"}) {
+        report.gate(format("%s.%s_min", c.c_str(), unit), key(unit), ">=", 0);
+        report.gate(format("%s.%s_max", c.c_str(), unit), key(unit), "<=", 1);
+      }
+      // Cheating acceptance stays inside the (1 - 1/m)^R envelope.
+      report.gate(c + ".within", key("within"), "==", true);
+    }
   }
 
   // Phase 4: serving accounting under an injected clock.
@@ -316,11 +335,9 @@ int main() {
     values["sessions_per_s"] =
         seconds > 0 ? static_cast<double>(attempts) / seconds : 0.0;
     values["steps"] = static_cast<std::int64_t>(c.steps);
+    values["honest"] = static_cast<std::int64_t>(accounting_honest());
+    values["honest_ok"] = honest_ok;
 
-    const bool exact =
-        attempts == c.completed + c.expired + c.refused && c.aborted == 0 &&
-        c.live == 0 && c.opened + c.refused == attempts &&
-        honest_ok == static_cast<std::uint64_t>(accounting_honest());
     report.meta()["opened"] = static_cast<std::int64_t>(attempts);
     report.meta()["completed"] = static_cast<std::int64_t>(c.completed);
     report.meta()["expired"] = static_cast<std::int64_t>(c.expired);
@@ -328,26 +345,23 @@ int main() {
     report.meta()["aborted"] = static_cast<std::int64_t>(c.aborted);
     report.meta()["live"] = static_cast<std::int64_t>(c.live);
     report.meta()["sessions"] = static_cast<std::int64_t>(c.opened);
-    report.meta()["accounting_exact"] = exact;
-    if (!exact) {
-      std::fprintf(stderr,
-                   "bench_interactive: accounting gate failed: attempts %llu "
-                   "vs completed %llu + expired %llu + refused %llu "
-                   "(aborted %llu, live %llu, honest_ok %llu)\n",
-                   static_cast<unsigned long long>(attempts),
-                   static_cast<unsigned long long>(c.completed),
-                   static_cast<unsigned long long>(c.expired),
-                   static_cast<unsigned long long>(c.refused),
-                   static_cast<unsigned long long>(c.aborted),
-                   static_cast<unsigned long long>(c.live),
-                   static_cast<unsigned long long>(honest_ok));
-      gate = false;
-    }
+
+    // Every open attempt lands in exactly one of {completed, expired,
+    // refused}, and the run drains: nothing aborted, nothing live.
+    report.gate("serving_attempts", "cases[serving].values.attempts", ">", 0);
+    report.gate("opened_is_attempts", "cases[serving].values.attempts", "==",
+                "meta.opened");
+    report.gate_sum("session_accounting",
+                    {"meta.completed", "meta.expired", "meta.refused"}, "==",
+                    "meta.opened");
+    report.gate_sum("admission_accounting", {"meta.sessions", "meta.refused"},
+                    "==", "cases[serving].values.attempts");
+    report.gate("aborted", "meta.aborted", "==", 0);
+    report.gate("live", "meta.live", "==", 0);
+    report.gate("sessions", "meta.sessions", ">", 0);
+    report.gate("honest_sessions_accepted", "cases[serving].values.honest_ok",
+                "==", "cases[serving].values.honest");
   }
 
-  report.write();
-  if (!gate) {
-    std::fprintf(stderr, "bench_interactive: GATE FAILED\n");
-  }
-  return gate ? 0 : 1;
+  return report.write_gated();
 }

@@ -9,14 +9,17 @@
 //
 // Each case also reports the enumeration hot-path counters as per-build
 // deltas: fingerprint-gate hits/misses, canonical-code computes (the gate
-// exists to drive these toward zero on the build path -- the checker
+// exists to drive these toward zero on the build path -- a report gate
 // enforces computes <= 0.7x registrations), and the scheduler's steal /
 // adaptive-chunk counts.
 //
 // Results (plus std::thread::hardware_concurrency, so single-core CI runs
 // are legible as such) are written to BENCH_parallel_enum.json via the
-// shared bench/report harness and validated by
-// tools/check_bench_json.py --parallel. Scaling beyond
+// shared bench/report harness, with the gates that decide the exit
+// code: exact fingerprint accounting (hits + misses == registrations per
+// build), the dedup bound above, positive throughput on the whole
+// curve, and -- in non-smoke runs with >= 2 hardware threads -- a
+// 2-thread speedup of at least 1.0. Scaling beyond
 // hardware_concurrency threads is expected to be flat -- the point of the
 // 8-thread row is oversubscription overhead, not speedup. In smoke mode
 // (SHLCP_BENCH_SMOKE) the sweep shrinks to one rep at 1-2 threads so CI
@@ -218,7 +221,30 @@ int main() {
     values["fingerprint_misses"] = s.metrics.fingerprint_misses;
     values["steals"] = s.metrics.steals;
     values["chunks_adaptive"] = s.metrics.chunks_adaptive;
+
+    const auto key = [&label](const char* field) {
+      return format("cases[%s].values.%s", label.c_str(), field);
+    };
+    for (const char* positive : {"seconds", "instances_per_sec", "speedup"}) {
+      report.gate(label + "." + positive, key(positive), ">", 0);
+    }
+    // Every registration is either a chain-opening miss or a gated hit.
+    report.gate_sum(label + ".fingerprint_accounting",
+                    {key("fingerprint_hits"), key("fingerprint_misses")},
+                    "==", "meta.registrations");
+    // The fingerprint gate must avoid at least 30% of the exact-code work
+    // (in practice it avoids nearly all of it).
+    report.gate_sum(label + ".canonical_computes", {key("canonical_computes")},
+                    "<=", 0.7 * static_cast<double>(registrations));
+    for (const char* diag : {"steals", "chunks_adaptive"}) {
+      report.gate_sum(label + "." + diag, {key(diag)}, ">=", 0);
+    }
   }
-  report.write();
-  return 0;
+  report.gate("registrations", "meta.registrations", ">", 0);
+  // Speedup is only measurable on real workloads with >= 2 cores.
+  if (!bench::smoke() && hw >= 2) {
+    report.gate("threads_2.speedup_floor", "cases[threads_2].values.speedup",
+                ">=", 1.0);
+  }
+  return report.write_gated();
 }

@@ -18,9 +18,9 @@
 //
 // A final drain check flips begin_drain() and asserts the next request
 // is refused with the "draining" error. Results go to
-// BENCH_service.json (validated in CI by check_bench_json.py
-// --service); exit status is nonzero if verification, the hit-rate
-// floor, or the drain contract fails.
+// BENCH_service.json with their gates (bench/report.h); exit status is
+// nonzero if verification, the hit-rate floor, the error count, a
+// per-endpoint latency histogram, or the drain contract fails.
 
 #include <algorithm>
 #include <chrono>
@@ -425,15 +425,21 @@ int main() {
   report.meta()["drain_refused"] = drain_ok;
   add_pass_cases(report, "cold", cold);
   add_pass_cases(report, "warm", warm);
-  report.write();
 
-  // Gate exit code directly (the bench_fault_sweep idiom): there are no
-  // google-benchmark timing loops here, the passes above are the
-  // measurement.
-  const bool gate = verified && drain_ok && cold.errors == 0 &&
-                    warm.errors == 0 && hit_rate_warm >= 0.5;
-  if (!gate) {
-    std::fprintf(stderr, "bench_service: GATE FAILED\n");
+  // The passes above are the measurement (no google-benchmark loops),
+  // so the gates decide the exit code.
+  report.gate("verified", "meta.verified", "==", true);
+  report.gate("drain_refused", "meta.drain_refused", "==", true);
+  report.gate("requests", "meta.requests", ">", 0);
+  report.gate("cold_errors", "cases[cold/total].values.errors", "==", 0);
+  report.gate("warm_errors", "cases[warm/total].values.errors", "==", 0);
+  report.gate("hit_rate_warm_floor", "meta.hit_rate_warm", ">=", 0.5);
+  report.gate("hit_rate_warm_ceiling", "meta.hit_rate_warm", "<=", 1);
+  for (const char* op :
+       {"run_decoder", "check_coloring", "search_witness", "build_nbhd"}) {
+    report.gate(format("%s_latency_recorded", op),
+                format("metrics.histograms[service.%s.latency_ns].count", op),
+                ">", 0);
   }
-  return gate ? 0 : 1;
+  return report.write_gated();
 }

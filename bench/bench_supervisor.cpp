@@ -9,8 +9,8 @@
 // backend is a victim at least once); after each kill it requires the
 // supervisor to bring the backend back within a restart budget.
 //
-// Gates (exit nonzero on any failure; CI validates the report with
-// check_bench_json.py --supervisor):
+// Gates (declared on the report, bench/report.h; exit nonzero on any
+// failure):
 //
 //   zero wrong responses  every ok response byte-identical to an
 //                         in-process oracle Service
@@ -343,13 +343,6 @@ int main() {
 
   supervisor.stop();
 
-  const bool accounted =
-      stream.ok + stream.refused + stream.errors + stream.lost + stream.wrong ==
-      stream.requests;
-  // The router always answers; a fleet-wide gap surfaces as "refused",
-  // never as a vanished response.
-  const bool stream_clean = stream.lost == 0 && stream.errors == 0;
-
   std::printf(
       "supervisor: %d kills, %llu restarts, slowest recovery %llu ms\n"
       "stream: %llu requests, %llu ok, %llu refused, %llu errors, %llu lost, "
@@ -375,23 +368,32 @@ int main() {
   report.meta()["warm_hit_after_restart"] = warm_ok;
   report.meta()["all_running_at_end"] = all_running;
   report.meta()["any_quarantined"] = any_quarantined;
-  report.meta()["accounting_exact"] = accounted;
   report.meta()["stream_requests"] = stream.requests;
   report.meta()["stream_ok"] = stream.ok;
   report.meta()["stream_refused"] = stream.refused;
   report.meta()["stream_errors"] = stream.errors;
   report.meta()["stream_lost"] = stream.lost;
-  report.write();
+
+  report.gate("wrong_responses", "meta.wrong_responses", "==", 0);
+  report.gate("kills", "meta.kills", ">=", kMinKills);
+  report.gate("restarts", "meta.restarts", ">=", "meta.kills");
+  report.gate("any_quarantined", "meta.any_quarantined", "==", false);
+  for (const char* flag : {"budget_ok", "warm_hit_after_restart",
+                           "all_running_at_end"}) {
+    report.gate(flag, format("meta.%s", flag), "==", true);
+  }
+  report.gate("stream_requests", "meta.stream_requests", ">", 0);
+  report.gate_sum("stream_accounting",
+                  {"meta.stream_ok", "meta.stream_refused",
+                   "meta.stream_errors", "meta.stream_lost"},
+                  "==", "meta.stream_requests");
+  // The router always answers; a fleet-wide gap surfaces as "refused",
+  // never as a vanished response.
+  report.gate("stream_errors", "meta.stream_errors", "==", 0);
+  report.gate("stream_lost", "meta.stream_lost", "==", 0);
+  const int code = report.write_gated();
 
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
-
-  const bool gate = stream.wrong == 0 && kills >= kMinKills &&
-                    restarts >= static_cast<std::uint64_t>(kills) &&
-                    budget_ok && warm_ok && all_running && !any_quarantined &&
-                    accounted && stream_clean && stream.requests > 0;
-  if (!gate) {
-    std::fprintf(stderr, "bench_supervisor: GATE FAILED\n");
-  }
-  return gate ? 0 : 1;
+  return code;
 }

@@ -5,6 +5,7 @@
 
 #include "util/check.h"
 #include "util/format.h"
+#include "util/hash.h"
 
 namespace shlcp::ia {
 

@@ -7,15 +7,6 @@
 
 namespace shlcp::ia {
 
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 std::uint64_t commitment(std::string_view session_id, std::uint64_t round,
                          int node, int color, std::uint64_t nonce) {
   return mix64(fnv1a64(format(

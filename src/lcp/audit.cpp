@@ -6,22 +6,13 @@
 #include "graph/generators.h"
 #include "lcp/checker.h"
 #include "util/format.h"
+#include "util/hash.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 
 namespace shlcp {
 
 namespace {
-
-/// FNV-1a 64; keys labeling seeds to instance names deterministically.
-std::uint64_t hash_string(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 /// Nodes accepting in one faulty run, sorted.
 std::vector<Node> accepting_nodes(const FaultyRunResult& res) {
@@ -258,7 +249,7 @@ AuditReport audit_soundness_under_faults(const Lcp& lcp,
                   "soundness audit expects a non-k-colorable no-instance");
   const AdversarialSampler sampler(lcp, no.inst);
   const std::uint64_t base =
-      mix64(options.seed ^ hash_string(no.name) ^ hash_string(lcp.name()));
+      mix64(options.seed ^ fnv1a64(no.name) ^ fnv1a64(lcp.name()));
   for (std::size_t p = 0; p < plans.size(); ++p) {
     const FaultPlan& plan = plans[p];
     if (audit_cancelled(options.cancel, report)) {
@@ -329,7 +320,7 @@ AuditReport audit_sweep(const Lcp& lcp,
       return report;
     }
     const auto plans = FaultPlan::standard_family(
-        mix64(options.seed ^ hash_string(yes.name)), yes.inst.num_nodes());
+        mix64(options.seed ^ fnv1a64(yes.name)), yes.inst.num_nodes());
     report.merge(
         audit_completeness_under_faults(lcp, yes, plans, options.cancel));
   }
@@ -338,7 +329,7 @@ AuditReport audit_sweep(const Lcp& lcp,
       return report;
     }
     const auto plans = FaultPlan::standard_family(
-        mix64(options.seed ^ hash_string(no.name)), no.inst.num_nodes());
+        mix64(options.seed ^ fnv1a64(no.name)), no.inst.num_nodes());
     report.merge(audit_soundness_under_faults(lcp, no, plans, options));
   }
   return report;
@@ -407,7 +398,7 @@ AttackReport attack_strong_soundness(const Lcp& lcp, const NamedInstance& host,
     check = check_strong_soundness_exhaustive(lcp, host.inst, exhaustive_limit);
   } else {
     attack.mode = "random";
-    Rng rng(mix64(seed ^ hash_string(host.name)));
+    Rng rng(mix64(seed ^ fnv1a64(host.name)));
     check = check_strong_soundness_random(lcp, host.inst, samples, rng);
   }
   attack.labelings = check.cases;

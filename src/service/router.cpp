@@ -9,6 +9,7 @@
 #include "service/cache.h"
 #include "util/check.h"
 #include "util/format.h"
+#include "util/hash.h"
 #include "util/metrics.h"
 
 namespace shlcp::svc {
@@ -22,33 +23,14 @@ std::uint64_t now_ms() {
           .count());
 }
 
-/// 64-bit FNV-1a: the ring hash. Deliberately the same family as the
-/// integrity digests (nbhd/checkpoint.h) but kept raw -- ring points
-/// are compared, never printed.
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-/// splitmix64 finalizer on top of FNV-1a. Raw FNV of near-identical
-/// short strings ("b0#17" vs "b1#17") leaves the low bits correlated,
-/// which clusters a backend's vnodes into runs and can starve a
-/// backend of keys entirely (observed: 3 one-letter backends, 64
-/// vnodes each, one backend owning 0/600 keys). The finalizer
-/// decorrelates placement; balance then scales with vnodes as
-/// intended.
+/// The ring hash: the splitmix64 finalizer on top of FNV-1a. Raw FNV
+/// of near-identical short strings ("b0#17" vs "b1#17") leaves the low
+/// bits correlated, which clusters a backend's vnodes into runs and can
+/// starve a backend of keys entirely (observed: 3 one-letter backends,
+/// 64 vnodes each, one backend owning 0/600 keys). The finalizer
+/// decorrelates placement; balance then scales with vnodes as intended.
 std::uint64_t ring_point(std::string_view bytes) {
-  std::uint64_t x = fnv1a64(bytes);
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
+  return mix64(fnv1a64(bytes));
 }
 
 /// Cap kept small: each cached Client holds one live connection to the

@@ -20,6 +20,7 @@
 #include "sim/engine.h"
 #include "util/check.h"
 #include "util/format.h"
+#include "util/hash.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 
@@ -733,7 +734,7 @@ Json Service::op_session_open(const Json& params, std::int64_t conn) {
   const auto user_seed =
       static_cast<std::uint64_t>(member_int(params, "seed", 0));
   ctx.challenge_seed = Rng::stream(config_.sessions.seed ^ user_seed,
-                                   ia::kDomChallenge, ia::fnv1a64(id))
+                                   ia::kDomChallenge, fnv1a64(id))
                            .next_u64();
 
   const ia::SessionTable::Refusal refusal = sessions_.open(

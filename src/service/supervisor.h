@@ -175,7 +175,7 @@ class Supervisor {
   Supervisor& operator=(const Supervisor&) = delete;
 
   /// Locates the backend binary: $SHLCP_SHLCPD, then shlcpd next to
-  /// `argv0`, then the build-tree locations bench_chaos probes.
+  /// `argv0` (when given), then the usual build-tree locations.
   /// Returns "" when nothing is executable.
   static std::string find_shlcpd(const char* argv0);
 

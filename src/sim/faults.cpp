@@ -1,9 +1,9 @@
 #include "sim/faults.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "util/check.h"
+#include "util/descriptor.h"
 #include "util/format.h"
 
 namespace shlcp {
@@ -21,32 +21,25 @@ std::string show_node_list(const std::vector<Node>& nodes) {
   return out;
 }
 
+constexpr DescriptorParser kFields{"fault-plan"};
+
+/// "-" or comma-separated node ids, each a whole non-negative number.
 std::vector<Node> parse_node_list(const std::string& text) {
   std::vector<Node> nodes;
   if (text == "-") {
     return nodes;
   }
-  const char* p = text.c_str();
-  while (*p != '\0') {
-    char* end = nullptr;
-    const long v = std::strtol(p, &end, 10);
-    SHLCP_CHECK_MSG(end != p, "malformed node list in fault-plan descriptor");
-    nodes.push_back(static_cast<Node>(v));
-    p = end;
-    if (*p == ',') {
-      ++p;
+  std::size_t start = 0;
+  for (;;) {
+    const std::size_t comma = text.find(',', start);
+    const std::size_t end = comma == std::string::npos ? text.size() : comma;
+    nodes.push_back(static_cast<Node>(
+        kFields.number(std::string_view(text).substr(start, end - start))));
+    if (comma == std::string::npos) {
+      return nodes;
     }
+    start = comma + 1;
   }
-  return nodes;
-}
-
-/// Extracts "key=value" from `field`, checking the key.
-std::string expect_field(const std::string& field, const char* key) {
-  const std::string prefix = std::string(key) + "=";
-  SHLCP_CHECK_MSG(field.rfind(prefix, 0) == 0,
-                  format("fault-plan descriptor: expected '%s=...', got '%s'",
-                         key, field.c_str()));
-  return field.substr(prefix.size());
 }
 
 int signed_delta(Rng& rng) {
@@ -70,40 +63,23 @@ std::string FaultPlan::describe() const {
 }
 
 FaultPlan FaultPlan::parse(const std::string& descriptor) {
-  std::vector<std::string> fields;
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t semi = descriptor.find(';', start);
-    fields.push_back(descriptor.substr(
-        start, semi == std::string::npos ? std::string::npos : semi - start));
-    if (semi == std::string::npos) {
-      break;
-    }
-    start = semi + 1;
-  }
-  SHLCP_CHECK_MSG(fields.size() == 7,
-                  format("fault-plan descriptor needs 7 ';'-fields, got %d: %s",
-                         static_cast<int>(fields.size()), descriptor.c_str()));
+  const std::vector<std::string> fields = kFields.split(descriptor, 7);
   FaultPlan plan;
   plan.label = fields[0];
-  plan.seed = std::strtoull(expect_field(fields[1], "seed").c_str(), nullptr, 0);
+  plan.seed = kFields.seed(kFields.value(fields[1], "seed"));
   plan.drop_permille =
-      static_cast<int>(std::strtol(expect_field(fields[2], "drop").c_str(),
-                                   nullptr, 10));
+      kFields.number(kFields.value(fields[2], "drop"), kPermilleMax);
   plan.duplicate_permille =
-      static_cast<int>(std::strtol(expect_field(fields[3], "dup").c_str(),
-                                   nullptr, 10));
+      kFields.number(kFields.value(fields[3], "dup"), kPermilleMax);
   plan.corrupt_permille =
-      static_cast<int>(std::strtol(expect_field(fields[4], "corrupt").c_str(),
-                                   nullptr, 10));
-  const std::string crash = expect_field(fields[5], "crash");
+      kFields.number(kFields.value(fields[4], "corrupt"), kPermilleMax);
+  const std::string crash = kFields.value(fields[5], "crash");
   const std::size_t at = crash.find('@');
   SHLCP_CHECK_MSG(at != std::string::npos,
                   "fault-plan descriptor: crash field needs '@round'");
   plan.crash_nodes = parse_node_list(crash.substr(0, at));
-  plan.crash_round =
-      static_cast<int>(std::strtol(crash.c_str() + at + 1, nullptr, 10));
-  plan.byzantine_nodes = parse_node_list(expect_field(fields[6], "byz"));
+  plan.crash_round = kFields.number(std::string_view(crash).substr(at + 1));
+  plan.byzantine_nodes = parse_node_list(kFields.value(fields[6], "byz"));
   return plan;
 }
 

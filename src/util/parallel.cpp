@@ -184,7 +184,7 @@ void WorkerPool::run_chunks(std::size_t self) {
   // (body_, plan_, ...) is stable for the whole claim loop: the caller
   // does not reset it until active_claimers_ drops to zero.
   for (;;) {
-    if (stop_claims_.load(std::memory_order_relaxed) ||
+    if (stop_claims_.load(std::memory_order_acquire) ||
         (job_cancel_ != nullptr && job_cancel_->stop_requested())) {
       break;
     }
@@ -246,7 +246,6 @@ ParallelRunResult WorkerPool::run_job(const ChunkPlan& plan,
     num_chunks_ = plan.num_chunks();
     claims_.store(0, std::memory_order_relaxed);
     steals_.store(0, std::memory_order_relaxed);
-    stop_claims_.store(false, std::memory_order_relaxed);
     chunk_done_.assign(num_chunks_, 0);
     error_ = nullptr;
     error_chunk_ = 0;
@@ -262,6 +261,12 @@ ParallelRunResult WorkerPool::run_job(const ChunkPlan& plan,
       q.head = num_chunks_ * i / nq;
       q.tail = num_chunks_ * (i + 1) / nq;
     }
+    // Open the claim latch only once every deque is seeded. A worker
+    // that woke late for the previous job is already inside its claim
+    // loop without holding mu_; had it seen the latch open mid-seeding,
+    // it could steal into its own deque just before the loop above
+    // overwrote that deque, and the stolen chunks would never run.
+    stop_claims_.store(false, std::memory_order_release);
     ++generation_;
     ++active_claimers_;  // the caller claims too
   }

@@ -12,19 +12,9 @@
 #include <vector>
 
 #include "util/check.h"
+#include "util/hash.h"
 
 namespace shlcp {
-
-/// splitmix64 finalizer: bijective avalanche mix. This is the one mixing
-/// primitive every seed-derivation scheme in the repo builds on (fault
-/// plans, chaos plans, retry backoff, vnode placement, interactive
-/// commitments); having it here keeps the derivations auditable in one
-/// place instead of re-implemented per subsystem.
-constexpr std::uint64_t mix64(std::uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
 
 /// splitmix64: tiny, fast, high-quality 64-bit PRNG. Passes BigCrush when
 /// used as a stream; more than enough for randomized testing.

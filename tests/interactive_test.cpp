@@ -58,6 +58,12 @@ void run_honest(SessionMachine& machine, const std::vector<int>& coloring,
   }
 }
 
+// bench_interactive reports this tag as meta.schema_interactive; bumping
+// it must come with an update here.
+TEST(Commitment, InteractiveSchemaIsPinned) {
+  EXPECT_STREQ(kInteractiveSchema, "shlcp.ia.v1");
+}
+
 TEST(Commitment, DomainSeparation) {
   const std::uint64_t base = commitment("s", 0, 0, 0, 0);
   EXPECT_EQ(base, commitment("s", 0, 0, 0, 0));  // deterministic

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -74,6 +75,31 @@ TEST(WorkerPoolTest, ReusableAcrossJobs) {
     });
     EXPECT_EQ(sum.load(), 20);
   }
+}
+
+// Back-to-back short jobs: a worker that wakes late for the previous job
+// must not claim (or steal into its own deque) while the next job's
+// setup is still seeding the deques, or the reseed overwrites the
+// stolen range and those chunks never run.
+TEST(WorkerPoolTest, BackToBackJobsRunEveryItemOnce) {
+  WorkerPool pool(2);
+  std::array<std::atomic<int>, 32> hits{};
+  std::size_t lost_jobs = 0;
+  for (int job = 0; job < 100'000; ++job) {
+    const std::size_t n = 2 + static_cast<std::size_t>(job) % 31;
+    pool.parallel_for_chunks(n, 1, [&](std::size_t, std::size_t b,
+                                       std::size_t e) {
+      for (std::size_t i = b; i < e; ++i) {
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+    bool exact = true;
+    for (std::size_t i = 0; i < n; ++i) {
+      exact = exact && hits[i].exchange(0, std::memory_order_relaxed) == 1;
+    }
+    lost_jobs += exact ? 0 : 1;
+  }
+  EXPECT_EQ(lost_jobs, 0u);
 }
 
 TEST(WorkerPoolTest, RethrowsLowestChunkError) {

@@ -56,7 +56,7 @@ TEST(ChaosPlan, DescribeParseRoundTrip) {
 
   const std::string descriptor = plan.describe();
   // The 7-field ';' shape is the REPRO contract of the chaos bench
-  // (tools/check_bench_json.py --chaos counts the separators).
+  // (its repro_round_trip gate parses the reported descriptor back).
   EXPECT_EQ(std::count(descriptor.begin(), descriptor.end(), ';'), 6)
       << descriptor;
   EXPECT_EQ(ChaosPlan::parse(descriptor), plan);
@@ -88,6 +88,17 @@ TEST(ChaosPlan, ParseRejectsMalformedDescriptors) {
            "calm;sed=0x1;wchop=0;rchop=0;corrupt=0;reset=0;delay=0@0ms",
            "calm;seed=0x1;wchop=0;rchop=0;corrupt=0;reset=0;delay=0",
            "calm;seed=0x1;wchop=0;rchop=0;corrupt=0;reset=0;delay=0@5",
+           // Every number is whole, in range, and unsigned.
+           "calm;seed=0x1;wchop=abc;rchop=0;corrupt=0;reset=0;delay=0@0ms",
+           "calm;seed=0x1;wchop=10junk;rchop=0;corrupt=0;reset=0;delay=0@0ms",
+           "calm;seed=0x1;wchop=0;rchop=5000;corrupt=0;reset=0;delay=0@0ms",
+           "calm;seed=0x1;wchop=0;rchop=0;corrupt=-7;reset=0;delay=0@0ms",
+           "calm;seed=0x1;wchop=0;rchop=0;corrupt=0;reset=1001;delay=0@0ms",
+           "calm;seed=0x1;wchop=0;rchop=0;corrupt=0;reset=0;delay=-1@0ms",
+           "calm;seed=0x1;wchop=0;rchop=0;corrupt=0;reset=0;delay=0@-5ms",
+           "calm;seed=0x1;wchop=0;rchop=0;corrupt=0;reset=0;delay=0@ms",
+           "calm;seed=0x1;wchop=0;rchop=0;corrupt=0;reset=0;delay=0@5xms",
+           "calm;seed=zz;wchop=0;rchop=0;corrupt=0;reset=0;delay=0@0ms",
        }) {
     EXPECT_THROW(ChaosPlan::parse(bad), CheckError) << bad;
   }

@@ -251,6 +251,27 @@ TEST(ServiceErrors, ErrorCodeContract) {
   EXPECT_EQ(error_code(garbage), kErrInvalidRequest);
 }
 
+// Out-of-range or half-numeric fault-plan fields are the caller's error,
+// refused at parse time -- not an internal failure deep in the run.
+TEST(ServiceErrors, OutOfRangeFaultPlanIsInvalidParams) {
+  Service service;
+  for (const char* plan : {
+           "x;seed=1;drop=5000;dup=-7;corrupt=0;crash=999@-3;byz=-",
+           "x;seed=1;drop=abc;dup=0;corrupt=0;crash=-@1;byz=-",
+           "x;seed=1;drop=10junk;dup=0;corrupt=0;crash=-@1;byz=-",
+       }) {
+    Json params = Json::object();
+    params["lcp"] = "degree-one";
+    params["instance"] = "path5";
+    params["labels"] = "honest";
+    params["plan"] = plan;
+    EXPECT_EQ(error_code(service.handle(
+                  make_request(1, "run_decoder", params))),
+              kErrInvalidParams)
+        << plan;
+  }
+}
+
 // A frame of ~2M nested '[' fits the 4 MiB frame cap; the parser's
 // depth limit must turn it into an error response instead of letting
 // the recursion overflow the stack and kill the daemon.

@@ -50,6 +50,42 @@ TEST(FaultPlanTest, ParseRejectsMalformedDescriptors) {
   EXPECT_THROW(
       FaultPlan::parse("x;seed=1;drop=0;dup=0;corrupt=0;crash=-;byz=-"),
       CheckError);  // crash field missing '@round'
+  // Every number is whole, in range, and unsigned.
+  for (const char* bad : {
+           "x;seed=1;drop=abc;dup=0;corrupt=0;crash=-@1;byz=-",
+           "x;seed=1;drop=10junk;dup=0;corrupt=0;crash=-@1;byz=-",
+           "x;seed=1;drop=;dup=0;corrupt=0;crash=-@1;byz=-",
+           "x;seed=1;drop=1001;dup=0;corrupt=0;crash=-@1;byz=-",
+           "x;seed=1;drop=0;dup=-7;corrupt=0;crash=-@1;byz=-",
+           "x;seed=1;drop=0;dup=+7;corrupt=0;crash=-@1;byz=-",
+           "x;seed=1;drop=0;dup=0;corrupt= 5;crash=-@1;byz=-",
+           "x;seed=1;drop=0;dup=0;corrupt=0;crash=999@-3;byz=-",
+           "x;seed=1;drop=0;dup=0;corrupt=0;crash=1,,2@1;byz=-",
+           "x;seed=1;drop=0;dup=0;corrupt=0;crash=1,@1;byz=-",
+           "x;seed=1;drop=0;dup=0;corrupt=0;crash=-@1;byz=-1",
+           "x;seed=1;drop=0;dup=0;corrupt=0;crash=-@99999999999;byz=-",
+           "x;seed=0x;drop=0;dup=0;corrupt=0;crash=-@1;byz=-",
+           "x;seed=0x1g;drop=0;dup=0;corrupt=0;crash=-@1;byz=-",
+           "x;seed=0x10000000000000000;drop=0;dup=0;corrupt=0;crash=-@1;byz=-",
+           "x;seed=18446744073709551616;drop=0;dup=0;corrupt=0;crash=-@1;byz=-",
+           "x;seed=-1;drop=0;dup=0;corrupt=0;crash=-@1;byz=-",
+       }) {
+    EXPECT_THROW(FaultPlan::parse(bad), CheckError) << bad;
+  }
+  // The extremes of each range still parse.
+  const FaultPlan edge = FaultPlan::parse(
+      "e;seed=0xffffffffffffffff;drop=1000;dup=0;corrupt=0;crash=0,7@0;"
+      "byz=2147483647");
+  EXPECT_EQ(edge.seed, ~0ULL);
+  EXPECT_EQ(edge.drop_permille, 1000);
+  EXPECT_EQ(edge.crash_nodes, (std::vector<Node>{0, 7}));
+  EXPECT_EQ(edge.crash_round, 0);
+  EXPECT_EQ(edge.byzantine_nodes, (std::vector<Node>{2147483647}));
+  EXPECT_EQ(FaultPlan::parse(
+                "d;seed=18446744073709551615;drop=0;dup=0;corrupt=0;"
+                "crash=-@1;byz=-")
+                .seed,
+            ~0ULL);
 }
 
 TEST(FaultPlanTest, EnabledDetectsEveryFaultClass) {

@@ -8,6 +8,7 @@
 #include "util/check.h"
 #include "util/combinatorics.h"
 #include "util/format.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace shlcp {
@@ -25,6 +26,15 @@ TEST(CheckTest, ThrowsWithMessage) {
 
 TEST(CheckTest, PassesSilently) {
   EXPECT_NO_THROW(SHLCP_CHECK(2 + 2 == 4));
+}
+
+TEST(HashTest, Fnv1a64MatchesTheStandardVectors) {
+  // The published 64-bit FNV-1a test vectors.
+  static_assert(fnv1a64("") == 0xcbf29ce484222325ULL);
+  EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ULL);
+  // Bytes >= 0x80 hash as unsigned, whatever the signedness of char.
+  EXPECT_EQ(fnv1a64("\xff"), 0xaf64724c8602eb6eULL);
 }
 
 TEST(RngTest, DeterministicAcrossInstances) {

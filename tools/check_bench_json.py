@@ -1,64 +1,21 @@
 #!/usr/bin/env python3
-"""Validate BENCH_*.json files against the shlcp.bench.v1 schema.
+"""Validate BENCH_*.json files against the shlcp.bench.v2 schema.
 
 Usage:
     check_bench_json.py BENCH_sim.json [BENCH_parallel_enum.json ...]
-    check_bench_json.py --service BENCH_service.json
-    check_bench_json.py --parallel BENCH_parallel_enum.json
-    check_bench_json.py --chaos BENCH_chaos.json
-    check_bench_json.py --fleet BENCH_fleet.json
-    check_bench_json.py --supervisor BENCH_supervisor.json
-    check_bench_json.py --interactive BENCH_interactive.json
     check_bench_json.py --trace trace.jsonl
     check_bench_json.py --ckpt CKPT_DIR [CKPT_DIR ...]
     check_bench_json.py --self-test
 
 The schema is pinned in bench/report.h and tests/bench_report_test.cpp;
 this script is the CI-side check that runs against the files the smoke
-benches actually wrote. With --trace it instead validates a JSONL trace
-file (one span/event object per line, as emitted by src/util/trace.cpp).
-With --service it additionally enforces the service-bench contract of
-EXPERIMENTS.md E19 on a BENCH_service.json: a nonzero request count, a
-warm-cache hit rate inside [0, 1], a passing bit-identity verification,
-and a populated per-endpoint latency histogram for every cacheable op.
-With --chaos it additionally enforces the resilience contract of
-EXPERIMENTS.md E21 on a BENCH_chaos.json: zero wrong responses, at
-least 3 kill -9/restart cycles, exact outcome accounting per pass
-(ok + refused + errors + lost == requests), zero unattributed errors,
-zero lost calls under the calm-wire crash pass, a replayed fault
-schedule, and the crash-consistent disk-cache probes (pre-crash disk
-hit, torn-entry-is-miss) both passing.
-With --fleet it additionally enforces the shard-router contract of
-EXPERIMENTS.md E22 on a BENCH_fleet.json: bit-identity verification
-against the in-process oracle (meta.verified), zero duplicate cache
-computes fleet-wide (disjoint ownership: the sum of per-backend misses
-equals the distinct-key count), zero reroutes and exact first-preference
-ownership with every backend alive, a backends_1 baseline case plus at
-least one larger fleet, and positive throughput in every case.
-With --supervisor it additionally enforces the self-healing contract of
-EXPERIMENTS.md E23 on a BENCH_supervisor.json: at least 5 SIGKILLed
-backends, zero wrong responses, restarts >= kills (every crash was
-auto-restarted within the budget, no backend left quarantined), the
-warm-restart disk-cache probe passing, and exact stream accounting
-(ok + refused + errors + lost == requests, with errors and lost both
-zero -- the router answers every request even mid-crash).
-With --interactive it additionally enforces the commit-reveal contract
-of EXPERIMENTS.md E24 on a BENCH_interactive.json: zero binding
-violations across the forgery/replay/corruption attack family, a
-passing hiding chi-square audit over at least two colorings, an
-amplification curve with at least two rounds_* points all inside the
-(1 - 1/m)^R envelope, and exact session accounting recomputed from the
-raw counters (opened == completed + expired + refused, with aborted
-and live both zero at the end of the run).
-With --parallel it additionally enforces the enumeration hot-path
-contract on a BENCH_parallel_enum.json: a sequential case plus a full
-threads_* speedup curve with positive throughput everywhere, the
-fingerprint-gate accounting (hits + misses == registrations per build),
-canonical-code computes <= 0.7x registrations (the dedup gate must avoid
-at least 30% of the exact-code work; in practice it avoids nearly all of
-it), and -- in non-smoke runs on a machine with >= 2 hardware threads --
-a 2-thread speedup of at least 1.0 (single-core machines only get a
-warning, since speedup is not measurable there).
+benches actually wrote. Besides the document shape it evaluates the
+report's "gates" array (format in bench/report.h): every gate is
+recomputed from the raw fields of the file, so an edited count, a
+broken accounting sum, or a missing case or histogram fails here even
+though the bench that wrote the file passed.
+With --trace it instead validates a JSONL trace file (one span/event
+object per line, as emitted by src/util/trace.cpp).
 With --ckpt it validates checkpoint directories written by the resumable
 V(D, n) builders (schema shlcp.ckpt.v1, pinned in src/nbhd/checkpoint.h):
 exact manifest keys and types, frames_done <= num_frames, known status
@@ -71,7 +28,7 @@ each, and asserts every documented exit code below.
 
 Exit codes (the overall code is the maximum across all files checked):
     0  every file validates
-    1  a file parsed but violated its schema or mode contract
+    1  a file parsed but violated its schema or one of its gates
     2  usage error: no arguments, no files, or an unknown --mode flag
     3  a named file or directory is missing or unreadable
     4  a named file exists but is not well-formed JSON
@@ -80,6 +37,7 @@ Prints one line per problem.
 """
 
 import json
+import operator
 import os
 import re
 import subprocess
@@ -95,16 +53,17 @@ USAGE = 2
 MISSING = 3
 MALFORMED = 4
 
-SCHEMA = "shlcp.bench.v1"
+SCHEMA = "shlcp.bench.v2"
 # Every schema id this checker knows how to validate. A document whose
 # "schema" member is not listed here is an error, never a silent pass:
 # a renamed or future schema must come with an updated checker.
 KNOWN_SCHEMAS = {SCHEMA}
-SERVICE_OPS = ["run_decoder", "check_coloring", "search_witness",
-               "build_nbhd"]
-TOP_KEYS = ["schema", "bench", "run", "meta", "cases", "metrics"]
+TOP_KEYS = ["schema", "bench", "run", "meta", "cases", "metrics", "gates"]
 RUN_KEYS = ["git", "unix_time", "hardware_concurrency", "num_threads", "smoke"]
 METRIC_KEYS = ["counters", "gauges", "histograms"]
+GATE_KEYS = ["name", "observed", "relation", "bound"]
+RELATIONS = {"==": operator.eq, ">=": operator.ge, "<=": operator.le,
+             ">": operator.gt, "<": operator.lt}
 TRACE_TYPES = {"span", "event"}
 
 CKPT_SCHEMA = "shlcp.ckpt.v1"
@@ -214,445 +173,127 @@ def check_report_doc(path, doc):
             if sum(hist.get("counts", [])) != hist.get("count"):
                 ok = fail(path, f"histogram {name!r}: counts do not sum to "
                                 "count")
+
+    gates = doc["gates"]
+    if not isinstance(gates, list):
+        return fail(path, "gates must be an array")
+    names = set()
+    for i, gate in enumerate(gates):
+        if (not isinstance(gate, dict) or list(gate.keys()) != GATE_KEYS
+                or not isinstance(gate["name"], str)):
+            ok = fail(path, f"gates[{i}] must be {{{', '.join(GATE_KEYS)}}} "
+                            "with a string name")
+            continue
+        if gate["name"] in names:
+            ok = fail(path, f"duplicate gate name {gate['name']!r}")
+        names.add(gate["name"])
+        problem = gate_failure(doc, gate)
+        if problem:
+            ok = fail(path, f"gate {problem}")
     return ok
 
 
-def check_service(path):
-    """check_report plus the BENCH_service.json contract (E19)."""
-    code, doc = load_json(path)
-    if code:
-        return code
-    if not isinstance(doc, dict):
-        return FAIL
-    ok = check_report_doc(path, doc)
-
-    meta = doc.get("meta", {})
-    requests = meta.get("requests")
-    if not isinstance(requests, int) or isinstance(requests, bool) \
-            or requests <= 0:
-        ok = fail(path, f"meta.requests must be a positive integer, "
-                        f"got {requests!r}")
-    hit_rate = meta.get("hit_rate_warm")
-    if not isinstance(hit_rate, (int, float)) or isinstance(hit_rate, bool) \
-            or not 0.0 <= hit_rate <= 1.0:
-        ok = fail(path, f"meta.hit_rate_warm must be a number in [0, 1], "
-                        f"got {hit_rate!r}")
-    if meta.get("verified") is not True:
-        ok = fail(path, "meta.verified must be true (service responses "
-                        "were not bit-identical to direct library calls)")
-
-    histograms = doc.get("metrics", {}).get("histograms", {})
-    for op in SERVICE_OPS:
-        name = f"service.{op}.latency_ns"
-        hist = histograms.get(name)
-        if not isinstance(hist, dict):
-            ok = fail(path, f"missing endpoint histogram {name!r}")
-        elif not hist.get("count"):
-            ok = fail(path, f"endpoint histogram {name!r} recorded nothing")
-    return PASS if ok else FAIL
+# A resolved path can legitimately hold JSON null, so absence needs its
+# own marker.
+_MISSING = object()
 
 
-CHAOS_MIN_KILLS = 3
-CHAOS_PASSES = ["chaos", "crash"]
-CHAOS_PASS_INTS = ["requests", "ok", "refused", "errors", "lost", "retries",
-                   "reconnects", "timeouts", "digest_mismatches"]
-CHAOS_FLAGS = ["replay_match", "disk_hit_after_restart", "torn_entry_is_miss",
-               "accounting_exact"]
+def _child(node, key):
+    """An object member, or the element of an array whose "name" member
+    equals `key` (how cases are addressed)."""
+    if isinstance(node, dict):
+        return node.get(key, _MISSING)
+    if isinstance(node, list):
+        for item in node:
+            if isinstance(item, dict) and item.get("name") == key:
+                return item
+    return _MISSING
 
 
-def check_chaos(path):
-    """check_report plus the BENCH_chaos.json contract (E21)."""
-    code, doc = load_json(path)
-    if code:
-        return code
-    if not isinstance(doc, dict):
-        return FAIL
-    ok = check_report_doc(path, doc)
-
-    meta = doc.get("meta", {})
-
-    def meta_int(key):
-        v = meta.get(key)
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            return None
-        return v
-
-    kills = meta_int("kills")
-    if kills is None or kills < CHAOS_MIN_KILLS:
-        ok = fail(path, f"meta.kills must be an integer >= {CHAOS_MIN_KILLS}, "
-                        f"got {meta.get('kills')!r}")
-    if meta_int("wrong_responses") != 0:
-        ok = fail(path, "meta.wrong_responses must be exactly 0 (a completed "
-                        "response differed from the oracle)")
-    repro = meta.get("repro")
-    if not isinstance(repro, str) or repro.count(";") != 6:
-        ok = fail(path, f"meta.repro must be a 7-field ChaosPlan descriptor, "
-                        f"got {repro!r}")
-    for key in CHAOS_FLAGS:
-        if meta.get(key) is not True:
-            ok = fail(path, f"meta.{key} must be true, got {meta.get(key)!r}")
-
-    for prefix in CHAOS_PASSES:
-        values = {}
-        for key in CHAOS_PASS_INTS:
-            v = meta_int(f"{prefix}_{key}")
-            if v is None:
-                ok = fail(path, f"meta.{prefix}_{key} must be a non-negative "
-                                f"integer, got {meta.get(f'{prefix}_{key}')!r}")
-            values[key] = v
-        if any(v is None for v in values.values()):
-            continue
-        if values["requests"] == 0:
-            ok = fail(path, f"meta.{prefix}_requests is 0: the {prefix} pass "
-                            "never ran")
-            continue
-        # Every call must be accounted for exactly once (wrong responses
-        # are already required to be zero above).
-        accounted = (values["ok"] + values["refused"] + values["errors"]
-                     + values["lost"])
-        if accounted != values["requests"]:
-            ok = fail(path, f"{prefix} pass accounting is inexact: ok + "
-                            f"refused + errors + lost = {accounted} != "
-                            f"requests = {values['requests']}")
-        if values["errors"] != 0:
-            ok = fail(path, f"meta.{prefix}_errors must be 0 (unattributed "
-                            f"wire errors), got {values['errors']}")
-    crash_lost = meta_int("crash_lost")
-    if crash_lost is not None and crash_lost != 0:
-        ok = fail(path, f"meta.crash_lost must be 0: retries must absorb "
-                        f"every kill -9 on a calm wire, got {crash_lost}")
-    return PASS if ok else FAIL
-
-
-FLEET_CASE_INTS = ["backends", "requests", "ok", "errors", "wrong",
-                   "sum_misses", "duplicate_computes", "reroutes"]
-
-
-def check_fleet(path):
-    """check_report plus the BENCH_fleet.json contract (E22)."""
-    code, doc = load_json(path)
-    if code:
-        return code
-    if not isinstance(doc, dict):
-        return FAIL
-    ok = check_report_doc(path, doc)
-
-    meta = doc.get("meta", {})
-    requests = meta.get("requests")
-    if not isinstance(requests, int) or isinstance(requests, bool) \
-            or requests <= 0:
-        ok = fail(path, f"meta.requests must be a positive integer, "
-                        f"got {requests!r}")
-    if meta.get("verified") is not True:
-        ok = fail(path, "meta.verified must be true (routed responses were "
-                        "not bit-identical to direct Service calls)")
-    if meta.get("errors") != 0:
-        ok = fail(path, f"meta.errors must be 0, got {meta.get('errors')!r}")
-    if meta.get("duplicate_computes") != 0:
-        ok = fail(path, "meta.duplicate_computes must be 0 (the fleet's "
-                        "caches must shard disjointly), got "
-                        f"{meta.get('duplicate_computes')!r}")
-    if meta.get("ownership_ok") is not True:
-        ok = fail(path, "meta.ownership_ok must be true (a request was not "
-                        "answered by its key's first-preference backend)")
-    distinct = meta.get("distinct_keys")
-    if not isinstance(distinct, int) or isinstance(distinct, bool) \
-            or distinct <= 0:
-        ok = fail(path, f"meta.distinct_keys must be a positive integer, "
-                        f"got {distinct!r}")
-
-    cases = {c.get("name"): c.get("values", {})
-             for c in doc.get("cases", []) if isinstance(c, dict)}
-    larger = [n for n in cases if n.startswith("backends_")
-              and n != "backends_1"]
-    if "backends_1" not in cases:
-        ok = fail(path, "missing case 'backends_1' (no single-backend "
-                        "baseline for the scaling curve)")
-    if not larger:
-        ok = fail(path, "no backends_N case with N > 1 (no scaling curve)")
-    for name, values in cases.items():
-        for key in FLEET_CASE_INTS:
-            v = values.get(key)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                ok = fail(path, f"{name}.{key} must be a non-negative "
-                                f"integer, got {v!r}")
-        rps = values.get("req_per_s")
-        if not isinstance(rps, (int, float)) or isinstance(rps, bool) \
-                or rps <= 0:
-            ok = fail(path, f"{name}.req_per_s must be a positive number, "
-                            f"got {rps!r}")
-        for key in ("errors", "wrong", "duplicate_computes", "reroutes"):
-            if values.get(key) != 0:
-                ok = fail(path, f"{name}.{key} must be 0, "
-                                f"got {values.get(key)!r}")
-        if values.get("ownership_ok") is not True:
-            ok = fail(path, f"{name}.ownership_ok must be true")
-    return PASS if ok else FAIL
-
-
-SUPERVISOR_MIN_KILLS = 5
-SUPERVISOR_STREAM_INTS = ["stream_requests", "stream_ok", "stream_refused",
-                          "stream_errors", "stream_lost"]
-SUPERVISOR_FLAGS = ["budget_ok", "warm_hit_after_restart",
-                    "all_running_at_end", "accounting_exact"]
-
-
-def check_supervisor(path):
-    """check_report plus the BENCH_supervisor.json contract (E23)."""
-    code, doc = load_json(path)
-    if code:
-        return code
-    if not isinstance(doc, dict):
-        return FAIL
-    ok = check_report_doc(path, doc)
-
-    meta = doc.get("meta", {})
-
-    def meta_int(key):
-        v = meta.get(key)
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            return None
-        return v
-
-    kills = meta_int("kills")
-    if kills is None or kills < SUPERVISOR_MIN_KILLS:
-        ok = fail(path, f"meta.kills must be an integer >= "
-                        f"{SUPERVISOR_MIN_KILLS}, got {meta.get('kills')!r}")
-    if meta_int("wrong_responses") != 0:
-        ok = fail(path, "meta.wrong_responses must be exactly 0 (a routed "
-                        "response differed from the oracle)")
-    restarts = meta_int("restarts")
-    if restarts is None or kills is None or restarts < kills:
-        ok = fail(path, f"meta.restarts ({meta.get('restarts')!r}) must be "
-                        f">= meta.kills ({meta.get('kills')!r}): every "
-                        "SIGKILL must have been auto-restarted")
-    if meta.get("any_quarantined") is not False:
-        ok = fail(path, "meta.any_quarantined must be false (spaced kills "
-                        "must never trip the crash-loop breaker)")
-    for key in SUPERVISOR_FLAGS:
-        if meta.get(key) is not True:
-            ok = fail(path, f"meta.{key} must be true, got {meta.get(key)!r}")
-
-    values = {}
-    for key in SUPERVISOR_STREAM_INTS:
-        v = meta_int(key)
-        if v is None:
-            ok = fail(path, f"meta.{key} must be a non-negative integer, "
-                            f"got {meta.get(key)!r}")
-        values[key] = v
-    if all(v is not None for v in values.values()):
-        if values["stream_requests"] == 0:
-            ok = fail(path, "meta.stream_requests is 0: the load stream "
-                            "never ran")
+def resolve(doc, path):
+    """Resolves a gate path (grammar in bench/report.h), mirroring the
+    C++ evaluator: '.'-separated segments, bracketed segments may hold
+    any characters but ']'. Returns _MISSING when the path is malformed
+    or a segment is absent."""
+    node, i = doc, 0
+    while i < len(path):
+        if path[i] == "[":
+            close = path.find("]", i)
+            if close < 0:
+                return _MISSING
+            key, i = path[i + 1:close], close + 1
         else:
-            accounted = (values["stream_ok"] + values["stream_refused"]
-                         + values["stream_errors"] + values["stream_lost"])
-            if accounted != values["stream_requests"]:
-                ok = fail(path, "stream accounting is inexact: ok + refused "
-                                f"+ errors + lost = {accounted} != requests "
-                                f"= {values['stream_requests']}")
-            for key in ("stream_errors", "stream_lost"):
-                if values[key] != 0:
-                    ok = fail(path, f"meta.{key} must be 0 (the router must "
-                                    "answer every request even mid-crash), "
-                                    f"got {values[key]}")
-    return PASS if ok else FAIL
+            ends = [j for j in (path.find(".", i), path.find("[", i)) if j >= 0]
+            end = min(ends, default=len(path))
+            key, i = path[i:end], end
+        if i < len(path) and path[i] == ".":
+            i += 1
+            if i == len(path):
+                return _MISSING  # trailing '.'
+        elif i < len(path) and path[i] != "[":
+            return _MISSING  # "[a]b": a bracket must end a segment
+        node = _child(node, key) if key else _MISSING
+        if node is _MISSING:
+            return _MISSING
+    return node if path else _MISSING
 
 
-IA_SCHEMA = "shlcp.ia.v1"
-IA_COUNTER_KEYS = ["opened", "completed", "expired", "refused", "aborted",
-                   "live", "sessions"]
-IA_FLAGS = ["hiding_ok", "amplification_ok", "accounting_exact"]
-IA_ROUNDS_INTS = ["rounds", "sessions", "accepted"]
-
-
-def check_interactive(path):
-    """check_report plus the BENCH_interactive.json contract (E24)."""
-    code, doc = load_json(path)
-    if code:
-        return code
-    if not isinstance(doc, dict):
-        return FAIL
-    ok = check_report_doc(path, doc)
-
-    meta = doc.get("meta", {})
-
-    def meta_int(key):
-        v = meta.get(key)
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            return None
-        return v
-
-    if meta.get("schema_interactive") != IA_SCHEMA:
-        ok = fail(path, f"meta.schema_interactive must be {IA_SCHEMA!r}, "
-                        f"got {meta.get('schema_interactive')!r}")
-    # Binding: the whole attack family (forgeries, replays, corrupted
-    # messages) must have produced zero accepted-yet-unbound openings.
-    if meta_int("binding_violations") != 0:
-        ok = fail(path, "meta.binding_violations must be exactly 0 (an "
-                        "opening was accepted that does not bind to its "
-                        f"commitment), got {meta.get('binding_violations')!r}")
-    for key in ("binding_sessions", "forgeries_tried", "binding_attacks"):
-        v = meta_int(key)
-        if v is None or v == 0:
-            ok = fail(path, f"meta.{key} must be a positive integer "
-                            f"(the binding audit never ran), "
-                            f"got {meta.get(key)!r}")
-    for key in IA_FLAGS:
-        if meta.get(key) is not True:
-            ok = fail(path, f"meta.{key} must be true, got {meta.get(key)!r}")
-    colorings = meta_int("hiding_colorings")
-    if colorings is None or colorings < 2:
-        ok = fail(path, "meta.hiding_colorings must be >= 2 (the hiding "
-                        "audit must compare at least two colorings), "
-                        f"got {meta.get('hiding_colorings')!r}")
-
-    # Session accounting, recomputed from the raw counters: every open
-    # attempt lands in exactly one of {completed, expired, refused}, and
-    # the run must drain (nothing aborted, nothing still live).
-    counters = {key: meta_int(key) for key in IA_COUNTER_KEYS}
-    for key, v in counters.items():
-        if v is None:
-            ok = fail(path, f"meta.{key} must be a non-negative integer, "
-                            f"got {meta.get(key)!r}")
-    if all(v is not None for v in counters.values()):
-        accounted = (counters["completed"] + counters["expired"]
-                     + counters["refused"])
-        if accounted != counters["opened"]:
-            ok = fail(path, "session accounting is inexact: completed + "
-                            f"expired + refused = {accounted} != opened = "
-                            f"{counters['opened']}")
-        for key in ("aborted", "live"):
-            if counters[key] != 0:
-                ok = fail(path, f"meta.{key} must be 0 at the end of the "
-                                f"run, got {counters[key]}")
-        if counters["sessions"] == 0:
-            ok = fail(path, "meta.sessions is 0: no session was ever "
-                            "admitted")
-
-    cases = {c.get("name"): c.get("values", {})
-             for c in doc.get("cases", []) if isinstance(c, dict)}
-    rounds_cases = sorted(n for n in cases if n.startswith("rounds_"))
-    if len(rounds_cases) < 2:
-        ok = fail(path, "need at least 2 rounds_* cases for an "
-                        f"amplification curve, got {rounds_cases}")
-    for name in rounds_cases:
-        values = cases[name]
-        for key in IA_ROUNDS_INTS:
-            v = values.get(key)
-            if not isinstance(v, int) or isinstance(v, bool) or v <= 0:
-                ok = fail(path, f"{name}.{key} must be a positive integer, "
-                                f"got {v!r}")
-        for key in ("rate", "envelope"):
-            v = values.get(key)
-            if not isinstance(v, (int, float)) or isinstance(v, bool) \
-                    or not 0.0 <= v <= 1.0:
-                ok = fail(path, f"{name}.{key} must be a number in [0, 1], "
-                                f"got {v!r}")
-        if values.get("within") is not True:
-            ok = fail(path, f"{name}.within must be true (the cheating "
-                            "acceptance rate escaped the (1 - 1/m)^R "
-                            "envelope)")
-    hiding_cases = [n for n in cases if n.startswith("hiding_coloring_")]
-    if len(hiding_cases) < 2:
-        ok = fail(path, "need at least 2 hiding_coloring_* cases, "
-                        f"got {sorted(hiding_cases)}")
-    for name in sorted(hiding_cases):
-        if cases[name].get("ok") is not True:
-            ok = fail(path, f"{name}.ok must be true (transcripts from this "
-                            "coloring are distinguishable)")
-    serving = cases.get("serving")
-    if serving is None:
-        ok = fail(path, "missing case 'serving' (the in-service accounting "
-                        "pass never ran)")
+def _operand(doc, spec):
+    """(value, text, error) for a literal bound or a path."""
+    if isinstance(spec, str):
+        value = resolve(doc, spec)
+        if value is _MISSING:
+            return None, None, f"{spec} is missing"
+        text = f"{spec} = {json.dumps(value)}"
     else:
-        attempts = serving.get("attempts")
-        if not isinstance(attempts, int) or isinstance(attempts, bool) \
-                or attempts <= 0:
-            ok = fail(path, f"serving.attempts must be a positive integer, "
-                            f"got {attempts!r}")
-        elif counters.get("opened") is not None \
-                and attempts != counters["opened"]:
-            ok = fail(path, f"serving.attempts ({attempts}) != meta.opened "
-                            f"({counters['opened']}): an open attempt was "
-                            "dropped from the accounting")
-    return PASS if ok else FAIL
+        value, text = spec, json.dumps(spec)
+    if not isinstance(value, (bool, int, float)):
+        return None, None, f"{text} is neither a number nor a bool"
+    return value, text, None
 
 
-PARALLEL_CASE_INTS = ["canonical_computes", "fingerprint_hits",
-                      "fingerprint_misses", "steals", "chunks_adaptive"]
-PARALLEL_CASE_FLOATS = ["seconds", "instances_per_sec", "speedup"]
+def _sum(doc, terms):
+    """(total, text, error) over counter paths: every term must be a
+    non-negative integer, so the sum is exact."""
+    if not terms:
+        return None, None, "empty sum"
+    total = 0
+    for term in terms:
+        if not isinstance(term, str):
+            return None, None, "a sum term is not a path"
+        value = resolve(doc, term)
+        if value is _MISSING:
+            return None, None, f"{term} is missing"
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            return None, None, (f"{term} = {json.dumps(value)} is not a "
+                                "non-negative integer")
+        total += value
+    return total, f"{' + '.join(terms)} = {total}", None
 
 
-def check_parallel(path):
-    """check_report plus the BENCH_parallel_enum.json contract."""
-    code, doc = load_json(path)
-    if code:
-        return code
-    if not isinstance(doc, dict):
-        return FAIL
-    ok = check_report_doc(path, doc)
-
-    meta = doc.get("meta", {})
-    registrations = meta.get("registrations")
-    if not isinstance(registrations, int) or isinstance(registrations, bool) \
-            or registrations <= 0:
-        fail(path, f"meta.registrations must be a positive integer, "
-                   f"got {registrations!r}")
-        return FAIL
-
-    cases = {c.get("name"): c.get("values", {})
-             for c in doc.get("cases", []) if isinstance(c, dict)}
-    run = doc.get("run", {})
-    smoke = run.get("smoke") is True
-    hw = run.get("hardware_concurrency", 0)
-    required = ["sequential", "threads_1", "threads_2"]
-    if not smoke:
-        required += ["threads_4", "threads_8"]
-    for name in required:
-        if name not in cases:
-            ok = fail(path, f"missing case {name!r} (speedup curve is "
-                            "incomplete)")
-    for name, values in cases.items():
-        for key in PARALLEL_CASE_FLOATS:
-            v = values.get(key)
-            if not isinstance(v, (int, float)) or isinstance(v, bool) \
-                    or v <= 0:
-                ok = fail(path, f"{name}.{key} must be a positive number, "
-                                f"got {v!r}")
-        for key in PARALLEL_CASE_INTS:
-            v = values.get(key)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                ok = fail(path, f"{name}.{key} must be a non-negative "
-                                f"integer, got {v!r}")
-        if not ok:
-            continue
-        # The fingerprint gate's accounting is exact per build: every
-        # registration is either a chain-opening miss or a gated hit.
-        hits = values["fingerprint_hits"]
-        misses = values["fingerprint_misses"]
-        if hits + misses != registrations:
-            ok = fail(path, f"{name}: fingerprint_hits ({hits}) + "
-                            f"fingerprint_misses ({misses}) != "
-                            f"registrations ({registrations})")
-        computes = values["canonical_computes"]
-        if computes > 0.7 * registrations:
-            ok = fail(path, f"{name}: canonical_computes ({computes}) "
-                            f"exceeds 0.7 x registrations ({registrations})"
-                            " -- the fingerprint gate is not avoiding exact"
-                            " canonical-code work")
-    two = cases.get("threads_2", {})
-    speedup2 = two.get("speedup")
-    if isinstance(speedup2, (int, float)) and not isinstance(speedup2, bool):
-        if smoke or hw < 2:
-            if speedup2 < 1.0:
-                print(f"{path}: note: threads_2 speedup is {speedup2:.2f} "
-                      f"(smoke={smoke}, hardware_concurrency={hw}; "
-                      "not enforced)")
-        elif speedup2 < 1.0:
-            ok = fail(path, f"threads_2 speedup is {speedup2:.2f} < 1.0 on "
-                            f"a {hw}-thread machine in a non-smoke run")
-    return PASS if ok else FAIL
+def gate_failure(doc, gate):
+    """Evaluates one gate against the document; returns None when it
+    holds, else why it fails."""
+    name, relation = gate["name"], gate["relation"]
+    if not isinstance(relation, str) or relation not in RELATIONS:
+        return f"{name}: unknown relation {json.dumps(relation)}"
+    observed = gate["observed"]
+    if isinstance(observed, list):
+        a, a_text, error = _sum(doc, observed)
+    elif isinstance(observed, str):
+        a, a_text, error = _operand(doc, observed)
+    else:
+        error = "observed is not a path"
+    if not error:
+        b, b_text, error = _operand(doc, gate["bound"])
+    if error:
+        return f"{name}: {error}"
+    if isinstance(a, bool) or isinstance(b, bool):
+        ok = (isinstance(a, bool) and isinstance(b, bool)
+              and relation == "==" and a == b)
+    else:
+        ok = RELATIONS[relation](a, b)
+    return None if ok else f"{name}: {a_text}, expected {relation} {b_text}"
 
 
 def check_trace(path):
@@ -756,61 +397,65 @@ def check_ckpt(ckpt_dir):
 
 
 MODES = {
-    "--service": check_service,
-    "--parallel": check_parallel,
-    "--chaos": check_chaos,
-    "--fleet": check_fleet,
-    "--supervisor": check_supervisor,
-    "--interactive": check_interactive,
     "--trace": check_trace,
     "--ckpt": check_ckpt,
 }
 
 
-def _selftest_report():
-    """A minimal document that passes the plain schema check."""
+def _selftest_report(gates=()):
+    """A minimal document that passes the plain check, with `gates`."""
     return {
         "schema": SCHEMA,
         "bench": "selftest",
         "run": {"git": "0000000", "unix_time": 0,
                 "hardware_concurrency": 1, "num_threads": 1, "smoke": True},
-        "meta": {},
-        "cases": [],
-        "metrics": {"counters": {}, "gauges": {}, "histograms": {}},
+        "meta": {"kills": 3, "rate": 0.75, "verified": True, "ok": 7,
+                 "refused": 2, "lost": 1, "requests": 10, "repro": "x;y"},
+        "cases": [{"name": "warm/total", "values": {"errors": 0}}],
+        "metrics": {"counters": {}, "gauges": {},
+                    "histograms": {"service.op.latency_ns": {
+                        "bounds": [10], "counts": [1, 1], "count": 2}}},
+        "gates": [{"name": f"g{i}", "observed": observed,
+                   "relation": relation, "bound": bound}
+                  for i, (observed, relation, bound) in enumerate(gates)],
     }
 
 
-def _selftest_interactive():
-    """A minimal document that passes the --interactive contract."""
-    doc = _selftest_report()
-    doc["bench"] = "interactive"
-    doc["meta"] = {
-        "schema_interactive": IA_SCHEMA,
-        "binding_violations": 0, "binding_sessions": 8,
-        "forgeries_tried": 64, "replays_tried": 2,
-        "corrupted_messages": 4, "binding_attacks": 8,
-        "hiding_ok": True, "hiding_colorings": 2,
-        "amplification_ok": True, "accounting_exact": True,
-        "opened": 4, "completed": 2, "expired": 1, "refused": 1,
-        "aborted": 0, "live": 0, "sessions": 3,
-    }
-    doc["cases"] = [
-        {"name": "hiding_coloring_0",
-         "values": {"chi2": 0.5, "samples": 64, "ok": True}},
-        {"name": "hiding_coloring_1",
-         "values": {"chi2": 0.4, "samples": 64, "ok": True}},
-        {"name": "rounds_1",
-         "values": {"rounds": 1, "sessions": 32, "accepted": 26,
-                    "rate": 0.8125, "envelope": 0.8, "sigma": 0.07,
-                    "within": True}},
-        {"name": "rounds_4",
-         "values": {"rounds": 4, "sessions": 32, "accepted": 13,
-                    "rate": 0.40625, "envelope": 0.4096, "sigma": 0.08,
-                    "within": True}},
-        {"name": "serving",
-         "values": {"attempts": 4, "sessions_per_s": 100.0, "steps": 8}},
-    ]
-    return doc
+# One gate per relation, plus a sum, a bool, a bound path, a case by name
+# (its name carries '/'), and a histogram whose name carries dots.
+SELFTEST_HOLDING_GATES = [
+    ("meta.kills", "==", 3),
+    ("meta.kills", ">=", 3),
+    ("meta.rate", "<=", 1),
+    ("meta.rate", ">", 0.5),
+    ("meta.kills", "<", "meta.requests"),
+    (["meta.ok", "meta.refused", "meta.lost"], "==", "meta.requests"),
+    ("meta.verified", "==", True),
+    ("cases[warm/total].values.errors", "==", 0),
+    ("metrics.histograms[service.op.latency_ns].count", ">", 0),
+]
+
+# Each of these must fail the plain check with exit code 1.
+SELFTEST_FAILING_GATES = {
+    "eq": ("meta.kills", "==", 4),
+    "ge": ("meta.kills", ">=", 4),
+    "le": ("meta.rate", "<=", 0.5),
+    "gt": ("meta.kills", ">", 3),
+    "lt": ("meta.kills", "<", 3),
+    "sum": (["meta.ok", "meta.refused"], "==", "meta.requests"),
+    "bool": ("meta.verified", "==", False),
+    "missing_path": ("meta.no_such_field", ">=", 0),
+    "missing_case": ("cases[cold/total].values.errors", "==", 0),
+    "missing_histogram": ("metrics.histograms[service.x.latency_ns].count",
+                          ">", 0),
+    "missing_bound": ("meta.kills", "<=", "meta.no_such_bound"),
+    "malformed_path": ("meta.kills.", ">=", 0),
+    "non_numeric": ("meta.repro", "==", 0),
+    "bool_vs_number": ("meta.verified", "==", 1),
+    "bool_ordering": ("meta.verified", ">=", True),
+    "sum_of_float": (["meta.rate", "meta.ok"], ">=", 0),
+    "unknown_relation": ("meta.kills", "!=", 4),
+}
 
 
 def self_test():
@@ -836,39 +481,32 @@ def self_test():
                     json.dump(content, f)
             return path
 
-        good = write("good.json", _selftest_report())
+        good = write("good.json", _selftest_report(SELFTEST_HOLDING_GATES))
         bad_schema = _selftest_report()
         bad_schema["schema"] = "shlcp.bench.v999"
         bad = write("bad_schema.json", bad_schema)
-        malformed = write("malformed.json", '{"schema": "shlcp.bench.v1",')
-        ia_good = write("ia_good.json", _selftest_interactive())
-        ia_bad = _selftest_interactive()
-        ia_bad["meta"]["binding_violations"] = 1
-        ia_bad_path = write("ia_bad.json", ia_bad)
-        ia_leak = _selftest_interactive()
-        ia_leak["meta"]["live"] = 1
-        ia_leak["meta"]["completed"] = 1
-        ia_leak_path = write("ia_leak.json", ia_leak)
+        duplicate = _selftest_report(SELFTEST_HOLDING_GATES[:1])
+        duplicate["gates"] *= 2
+        malformed = write("malformed.json", '{"schema": "shlcp.bench.v2",')
         missing = os.path.join(tmp, "does_not_exist.json")
 
         expectations = [
             (PASS, [good]),
-            (PASS, ["--interactive", ia_good]),
             (FAIL, [bad]),
-            (FAIL, ["--interactive", ia_bad_path]),
-            (FAIL, ["--interactive", ia_leak_path]),
+            (FAIL, [write("duplicate_gate.json", duplicate)]),
             (USAGE, []),
-            (USAGE, ["--service"]),
+            (USAGE, ["--trace"]),
             (USAGE, ["--no-such-mode", good]),
             (MISSING, [missing]),
-            (MISSING, ["--interactive", missing]),
             (MALFORMED, [malformed]),
-            (MALFORMED, ["--interactive", malformed]),
             # The overall code is the max across files: a malformed file
             # dominates a merely-failing one.
             (MALFORMED, [bad, malformed]),
             (MALFORMED, [malformed, good]),
         ]
+        for label, gate in SELFTEST_FAILING_GATES.items():
+            expectations.append((FAIL, [write(f"fails_{label}.json",
+                                              _selftest_report([gate]))]))
         for expected, args in expectations:
             code, output = run(args)
             if code != expected:
