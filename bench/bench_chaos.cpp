@@ -42,7 +42,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -55,9 +54,9 @@
 #include "bench/report.h"
 #include "service/chaos.h"
 #include "service/client.h"
+#include "service/loadgen.h"
 #include "service/service.h"
 #include "service/supervisor.h"
-#include "sim/faults.h"
 #include "util/check.h"
 #include "util/format.h"
 #include "util/json.h"
@@ -67,9 +66,7 @@ using svc::ChaosPlan;
 using svc::ChaosStats;
 using svc::Client;
 using svc::ClientOptions;
-using svc::ClientStats;
 using svc::FaultyTransport;
-using svc::Service;
 
 namespace {
 
@@ -79,96 +76,21 @@ int chaos_requests() { return bench::smoke() ? 90 : 240; }
 int chaos_workers() { return 3; }
 int kill_spacing_ms() { return bench::smoke() ? 250 : 400; }
 
-/// The fixed payload pool: every request in every pass draws one of
-/// these slots, so the oracle table is computed once. All four
-/// cacheable endpoints are represented and every payload is
-/// deterministic (seeded fault plans, fixed instances).
-constexpr int kPoolSize = 16;
-
-std::pair<std::string, Json> pool_payload(int slot) {
-  const std::uint64_t variant = static_cast<std::uint64_t>(slot) / 4;
-  Json params = Json::object();
-  switch (slot % 4) {
-    case 0: {
-      static const std::pair<const char*, const char*> kCombos[] = {
-          {"degree-one", "path5"},
-          {"spanning-bfs", "cycle6"},
-          {"even-cycle", "cycle8"},
-          {"degree-one", "star5"},
-      };
-      const auto& [lcp, inst] = kCombos[variant % std::size(kCombos)];
-      params["lcp"] = lcp;
-      params["instance"] = inst;
-      params["labels"] = "honest";
-      if (variant % 2 == 1) {
-        FaultPlan plan;
-        plan.label = "drop-light";
-        plan.seed = 0xC0FFEE + variant;
-        plan.drop_permille = 100;
-        params["plan"] = plan.describe();
-      }
-      return {"run_decoder", std::move(params)};
-    }
-    case 1: {
-      static const char* kPool[] = {"path5", "cycle5", "grid23", "theta222"};
-      params["instance"] = kPool[variant % std::size(kPool)];
-      params["k"] = static_cast<std::int64_t>(2 + variant % 2);
-      return {"check_coloring", std::move(params)};
-    }
-    case 2: {
-      params["family"] = variant % 2 == 0 ? "degree-one" : "even-cycle";
-      params["max_n"] = 4;
-      return {"search_witness", std::move(params)};
-    }
-    default: {
-      static const std::pair<const char*, const char*> kBuilds[] = {
-          {"degree-one", "path:4"},
-          {"even-cycle", "cycle:4"},
-          {"spanning-bfs", "path:4"},
-          {"even-cycle", "cycle:6"},
-      };
-      const auto& [lcp, spec] = kBuilds[variant % std::size(kBuilds)];
-      params["lcp"] = lcp;
-      Json& graphs = (params["graphs"] = Json::array());
-      graphs.push_back(spec);
-      params["build"] = "proved";
-      return {"build_nbhd", std::move(params)};
-    }
-  }
-}
-
 /// Two payloads the load passes never touch: primed through the daemon
 /// exactly once before the crashes, so after the final restart they can
 /// only be on disk, never in the new incarnation's memory cache. That
 /// makes them the probes for the crash-consistency checks.
-std::pair<std::string, Json> reserve_payload(int which) {
+svc::Payload reserve_payload(int which) {
   Json params = Json::object();
   params["instance"] = which == 0 ? "complete4" : "star5";
   params["k"] = 3;
   return {"check_coloring", std::move(params)};
 }
 
-/// The oracle: the same library code the daemon runs, in-process, no
-/// transport and no shared cache. Its result dumps are the ground
-/// truth every wire response is compared against byte-for-byte. Slots
-/// [0, kPoolSize) are the load pool; the last two are the reserves.
-std::vector<std::string> compute_oracle() {
-  Service oracle;
-  std::vector<std::string> dumps;
-  for (int slot = 0; slot < kPoolSize + 2; ++slot) {
-    auto [op, params] = slot < kPoolSize ? pool_payload(slot)
-                                         : reserve_payload(slot - kPoolSize);
-    Json req = Json::object();
-    req["id"] = static_cast<std::int64_t>(slot);
-    req["op"] = op;
-    req["params"] = std::move(params);
-    const Json resp = oracle.handle(req);
-    SHLCP_CHECK_MSG(resp.at("ok").as_bool(),
-                    "oracle refused slot " + std::to_string(slot) + ": " +
-                        resp.dump());
-    dumps.push_back(resp.at("result").dump());
-  }
-  return dumps;
+/// The oracle covers the load pool, then the two reserves.
+const std::string& reserve_truth(const std::vector<std::string>& oracle,
+                                 int which) {
+  return oracle[oracle.size() - 2 + static_cast<std::size_t>(which)];
 }
 
 struct Daemon {
@@ -219,61 +141,17 @@ bool wait_for_socket(const std::string& socket_path, int attempts = 100) {
   return false;
 }
 
-/// Per-pass outcome counters. "lost" = every retry exhausted below the
-/// protocol (no error code); "wrong" = a completed response whose
-/// result bytes differ from the oracle -- the one count that must stay
-/// zero no matter what the transport or the supervisor does.
-struct PassResult {
-  std::uint64_t requests = 0;
-  std::uint64_t ok = 0;
-  std::uint64_t refused = 0;  // "draining" (daemon mid-SIGINT; benign)
-  std::uint64_t errors = 0;   // any other wire error code
-  std::uint64_t lost = 0;
-  std::uint64_t wrong = 0;
-  ClientStats stats;
-
-  void merge(const PassResult& other) {
-    requests += other.requests;
-    ok += other.ok;
-    refused += other.refused;
-    errors += other.errors;
-    lost += other.lost;
-    wrong += other.wrong;
-    stats.calls += other.stats.calls;
-    stats.attempts += other.stats.attempts;
-    stats.retries += other.stats.retries;
-    stats.reconnects += other.stats.reconnects;
-    stats.timeouts += other.stats.timeouts;
-    stats.transport_errors += other.stats.transport_errors;
-    stats.digest_mismatches += other.stats.digest_mismatches;
-    stats.refused_overloaded += other.stats.refused_overloaded;
-    stats.refused_draining += other.stats.refused_draining;
-    stats.refused_deadline += other.stats.refused_deadline;
-    stats.refused_integrity += other.stats.refused_integrity;
-    stats.backoff_ms_total += other.stats.backoff_ms_total;
-  }
-};
-
-void score_call(const svc::CallResult& r, int slot,
-                const std::vector<std::string>& oracle, PassResult* out) {
-  out->requests += 1;
-  if (r.ok) {
-    if (r.result_dump == oracle[static_cast<std::size_t>(slot)]) {
-      out->ok += 1;
-    } else {
-      out->wrong += 1;
-      std::fprintf(stderr, "bench_chaos: WRONG RESPONSE slot %d\n  got: %s\n",
-                   slot, r.result_dump.c_str());
-    }
-  } else if (r.error_code == "draining") {
-    out->refused += 1;
-  } else if (r.error_code.empty()) {
-    out->lost += 1;
-  } else {
-    out->errors += 1;
-    std::fprintf(stderr, "bench_chaos: slot %d error %s: %s\n", slot,
-                 r.error_code.c_str(), r.error_detail.c_str());
-  }
+/// Every pass classifies "draining" (the daemon mid-SIGINT) as a
+/// benign refusal; "wrong" -- a completed response whose result bytes
+/// differ from the oracle -- must stay zero no matter what the
+/// transport or the supervisor does.
+svc::DriveOptions pass_options(std::uint64_t total) {
+  svc::DriveOptions options;
+  options.workers = chaos_workers();
+  options.total = total;
+  options.benign = {svc::kErrDraining};
+  options.label = "bench_chaos";
+  return options;
 }
 
 ClientOptions chaos_client_options(const ChaosPlan& plan, std::uint64_t seed) {
@@ -288,93 +166,57 @@ ClientOptions chaos_client_options(const ChaosPlan& plan, std::uint64_t seed) {
 }
 
 /// Pass 1: fixed request count striped across workers, faulty wire.
-PassResult run_transport_chaos(const std::string& socket_path,
+svc::Tally run_transport_chaos(const std::string& socket_path,
                                const ChaosPlan& plan,
+                               const std::vector<svc::Payload>& pool,
                                const std::vector<std::string>& oracle) {
-  const int total = chaos_requests();
-  const int workers = chaos_workers();
-  std::vector<PassResult> outs(static_cast<std::size_t>(workers));
-  std::vector<std::thread> threads;
-  for (int w = 0; w < workers; ++w) {
-    threads.emplace_back([&, w] {
-      ClientOptions options = chaos_client_options(
-          plan, plan.seed + static_cast<std::uint64_t>(w) * 0x9E37ULL);
-      Client client(Client::unix_connector(socket_path, options.chaos),
-                    options);
-      for (int i = w; i < total; i += workers) {
-        const int slot = i % kPoolSize;
-        auto [op, params] = pool_payload(slot);
-        score_call(client.call(op, params), slot, oracle,
-                   &outs[static_cast<std::size_t>(w)]);
-      }
-      outs[static_cast<std::size_t>(w)].stats = client.stats();
-    });
-  }
-  for (std::thread& t : threads) {
-    t.join();
-  }
-  PassResult merged;
-  for (const PassResult& out : outs) {
-    merged.merge(out);
-  }
-  return merged;
+  return svc::drive_pool(
+      pass_options(static_cast<std::uint64_t>(chaos_requests())),
+      [&](int w) {
+        ClientOptions options = chaos_client_options(
+            plan, plan.seed + static_cast<std::uint64_t>(w) * 0x9E37ULL);
+        return svc::client_caller(
+            Client::unix_connector(socket_path, options.chaos), options);
+      },
+      pool, &oracle);
 }
 
 /// Pass 2: open-ended stream on a calm wire while the supervisor
 /// SIGKILLs and restarts the daemon >= kMinKills times. Returns the
 /// merged pass result; `daemon` holds the pid of the final incarnation.
-PassResult run_kill_restart(const std::string& shlcpd,
+svc::Tally run_kill_restart(const std::string& shlcpd,
                             const std::string& socket_path,
                             const std::string& cache_dir,
                             const std::string& log_path,
+                            const std::vector<svc::Payload>& pool,
                             const std::vector<std::string>& oracle,
                             Daemon* daemon, int* kills) {
-  const int workers = chaos_workers();
-  std::atomic<bool> stop{false};
-  std::vector<PassResult> outs(static_cast<std::size_t>(workers));
-  std::vector<std::thread> threads;
-  for (int w = 0; w < workers; ++w) {
-    threads.emplace_back([&, w] {
-      ClientOptions options = chaos_client_options(
-          ChaosPlan{}, 0xD00D + static_cast<std::uint64_t>(w));
-      options.retry.base_backoff_ms = 20;  // ride out the restart gap
-      Client client(Client::unix_connector(socket_path, options.chaos),
-                    options);
-      int i = w;
-      while (!stop.load(std::memory_order_relaxed)) {
-        const int slot = i % kPoolSize;
-        auto [op, params] = pool_payload(slot);
-        score_call(client.call(op, params), slot, oracle,
-                   &outs[static_cast<std::size_t>(w)]);
-        i += workers;
-      }
-      outs[static_cast<std::size_t>(w)].stats = client.stats();
-    });
-  }
-
+  const auto make_caller = [&](int w) {
+    ClientOptions options = chaos_client_options(
+        ChaosPlan{}, 0xD00D + static_cast<std::uint64_t>(w));
+    options.retry.base_backoff_ms = 20;  // ride out the restart gap
+    return svc::client_caller(
+        Client::unix_connector(socket_path, options.chaos), options);
+  };
   // The supervisor: kill -9 mid-stream, reap, restart, repeat. Each
   // cycle waits for the new incarnation to accept before the next kill
   // so every crash lands on a daemon that was actually serving.
-  for (int cycle = 0; cycle < kMinKills; ++cycle) {
+  const auto kill_schedule = [&] {
+    for (int cycle = 0; cycle < kMinKills; ++cycle) {
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(kill_spacing_ms()));
+      ::kill(daemon->pid, SIGKILL);
+      int status = 0;
+      ::waitpid(daemon->pid, &status, 0);
+      *kills += 1;
+      daemon->pid = spawn_daemon(shlcpd, socket_path, cache_dir, log_path);
+      SHLCP_CHECK_MSG(wait_for_socket(socket_path),
+                      "restarted daemon never came up");
+    }
     std::this_thread::sleep_for(std::chrono::milliseconds(kill_spacing_ms()));
-    ::kill(daemon->pid, SIGKILL);
-    int status = 0;
-    ::waitpid(daemon->pid, &status, 0);
-    *kills += 1;
-    daemon->pid = spawn_daemon(shlcpd, socket_path, cache_dir, log_path);
-    SHLCP_CHECK_MSG(wait_for_socket(socket_path),
-                    "restarted daemon never came up");
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(kill_spacing_ms()));
-  stop.store(true, std::memory_order_relaxed);
-  for (std::thread& t : threads) {
-    t.join();
-  }
-  PassResult merged;
-  for (const PassResult& out : outs) {
-    merged.merge(out);
-  }
-  return merged;
+  };
+  return svc::drive_pool(pass_options(0), make_caller, pool, &oracle,
+                         kill_schedule);
 }
 
 /// Serves both reserve payloads through the daemon once (misses, so
@@ -384,10 +226,9 @@ bool prime_reserves(const std::string& socket_path,
   Client client(Client::unix_connector(socket_path, ChaosPlan{}),
                 ClientOptions{});
   for (int which = 0; which < 2; ++which) {
-    auto [op, params] = reserve_payload(which);
-    const svc::CallResult r = client.call(op, params);
-    if (!r.ok ||
-        r.result_dump != oracle[static_cast<std::size_t>(kPoolSize + which)]) {
+    const svc::Payload p = reserve_payload(which);
+    const svc::CallResult r = client.call(p.op, p.params);
+    if (!r.ok || r.result_dump != reserve_truth(oracle, which)) {
       std::fprintf(stderr, "bench_chaos: priming reserve %d failed: %s\n",
                    which, r.error_detail.c_str());
       return false;
@@ -403,9 +244,9 @@ bool check_disk_hit(const std::string& socket_path,
                     const std::vector<std::string>& oracle) {
   Client client(Client::unix_connector(socket_path, ChaosPlan{}),
                 ClientOptions{});
-  auto [op, params] = reserve_payload(0);
-  const svc::CallResult r = client.call(op, params);
-  if (!r.ok || r.result_dump != oracle[static_cast<std::size_t>(kPoolSize)]) {
+  const svc::Payload p = reserve_payload(0);
+  const svc::CallResult r = client.call(p.op, p.params);
+  if (!r.ok || r.result_dump != reserve_truth(oracle, 0)) {
     std::fprintf(stderr, "bench_chaos: disk-hit probe failed: %s\n",
                  r.error_detail.c_str());
     return false;
@@ -440,10 +281,9 @@ bool check_torn_entries(const std::string& socket_path,
   }
   Client client(Client::unix_connector(socket_path, ChaosPlan{}),
                 ClientOptions{});
-  auto [op, params] = reserve_payload(1);
-  const svc::CallResult r = client.call(op, params);
-  if (!r.ok ||
-      r.result_dump != oracle[static_cast<std::size_t>(kPoolSize + 1)]) {
+  const svc::Payload p = reserve_payload(1);
+  const svc::CallResult r = client.call(p.op, p.params);
+  if (!r.ok || r.result_dump != reserve_truth(oracle, 1)) {
     std::fprintf(stderr, "bench_chaos: torn-entry probe failed: %s %s\n",
                  r.error_code.c_str(), r.error_detail.c_str());
     return false;
@@ -504,16 +344,16 @@ bool check_replay(const ChaosPlan& base) {
   return true;
 }
 
-void add_pass_meta(Json& meta, const char* prefix, const PassResult& pass) {
+void add_pass_meta(Json& meta, const char* prefix, const svc::Tally& pass) {
   meta[format("%s_requests", prefix)] = pass.requests;
   meta[format("%s_ok", prefix)] = pass.ok;
   meta[format("%s_refused", prefix)] = pass.refused;
   meta[format("%s_errors", prefix)] = pass.errors;
   meta[format("%s_lost", prefix)] = pass.lost;
-  meta[format("%s_retries", prefix)] = pass.stats.retries;
-  meta[format("%s_reconnects", prefix)] = pass.stats.reconnects;
-  meta[format("%s_timeouts", prefix)] = pass.stats.timeouts;
-  meta[format("%s_digest_mismatches", prefix)] = pass.stats.digest_mismatches;
+  meta[format("%s_retries", prefix)] = pass.client.retries;
+  meta[format("%s_reconnects", prefix)] = pass.client.reconnects;
+  meta[format("%s_timeouts", prefix)] = pass.client.timeouts;
+  meta[format("%s_digest_mismatches", prefix)] = pass.client.digest_mismatches;
 }
 
 }  // namespace
@@ -535,8 +375,12 @@ int main() {
   const std::string log_path = dir + "/shlcpd.log";
   std::filesystem::create_directory(cache_dir);
 
-  std::printf("== oracle: %d payload slots, in-process ==\n", kPoolSize);
-  const std::vector<std::string> oracle = compute_oracle();
+  const std::vector<svc::Payload> pool = svc::payload_pool();
+  std::vector<svc::Payload> truths = pool;
+  truths.push_back(reserve_payload(0));
+  truths.push_back(reserve_payload(1));
+  std::printf("== oracle: %zu payload slots, in-process ==\n", pool.size());
+  const std::vector<std::string> oracle = svc::oracle(truths);
 
   Daemon daemon;
   daemon.pid = spawn_daemon(shlcpd, socket_path, cache_dir, log_path);
@@ -554,7 +398,7 @@ int main() {
 
   std::printf("== pass 1: %d requests through chaos plan %s ==\n",
               chaos_requests(), plan.describe().c_str());
-  const PassResult chaos = run_transport_chaos(socket_path, plan, oracle);
+  const svc::Tally chaos = run_transport_chaos(socket_path, plan, pool, oracle);
   std::printf(
       "chaos: %llu ok, %llu refused, %llu errors, %llu lost, %llu WRONG "
       "(retries=%llu reconnects=%llu digest_mismatches=%llu)\n",
@@ -563,16 +407,16 @@ int main() {
       static_cast<unsigned long long>(chaos.errors),
       static_cast<unsigned long long>(chaos.lost),
       static_cast<unsigned long long>(chaos.wrong),
-      static_cast<unsigned long long>(chaos.stats.retries),
-      static_cast<unsigned long long>(chaos.stats.reconnects),
-      static_cast<unsigned long long>(chaos.stats.digest_mismatches));
+      static_cast<unsigned long long>(chaos.client.retries),
+      static_cast<unsigned long long>(chaos.client.reconnects),
+      static_cast<unsigned long long>(chaos.client.digest_mismatches));
 
   const bool primed = prime_reserves(socket_path, oracle);
 
   std::printf("== pass 2: kill -9 x%d mid-stream ==\n", kMinKills);
   int kills = 0;
-  const PassResult crash = run_kill_restart(shlcpd, socket_path, cache_dir,
-                                            log_path, oracle, &daemon, &kills);
+  const svc::Tally crash = run_kill_restart(
+      shlcpd, socket_path, cache_dir, log_path, pool, oracle, &daemon, &kills);
   std::printf(
       "crash: %d kills, %llu ok, %llu refused, %llu errors, %llu lost, "
       "%llu WRONG (retries=%llu reconnects=%llu)\n",
@@ -581,8 +425,8 @@ int main() {
       static_cast<unsigned long long>(crash.errors),
       static_cast<unsigned long long>(crash.lost),
       static_cast<unsigned long long>(crash.wrong),
-      static_cast<unsigned long long>(crash.stats.retries),
-      static_cast<unsigned long long>(crash.stats.reconnects));
+      static_cast<unsigned long long>(crash.client.retries),
+      static_cast<unsigned long long>(crash.client.reconnects));
 
   std::printf("== pass 3: crash-consistent disk cache ==\n");
   const bool disk_hit = check_disk_hit(socket_path, oracle);

@@ -47,10 +47,9 @@
 
 #include "bench/report.h"
 #include "service/cache.h"
+#include "service/loadgen.h"
 #include "service/router.h"
-#include "service/service.h"
 #include "service/supervisor.h"
-#include "sim/faults.h"
 #include "util/check.h"
 #include "util/format.h"
 #include "util/json.h"
@@ -59,7 +58,6 @@ using namespace shlcp;
 using svc::BackendSpec;
 using svc::Router;
 using svc::RouterOptions;
-using svc::Service;
 
 namespace {
 
@@ -69,87 +67,12 @@ std::vector<int> fleet_sizes() {
   return bench::smoke() ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4};
 }
 
-/// The fixed payload pool (the same shape bench_chaos uses): every
-/// request draws one of kPoolSize deterministic payloads, so the
-/// oracle is computed once and the distinct-key count is exact.
-constexpr int kPoolSize = 16;
-
-std::pair<std::string, Json> pool_payload(int slot) {
-  const std::uint64_t variant = static_cast<std::uint64_t>(slot) / 4;
-  Json params = Json::object();
-  switch (slot % 4) {
-    case 0: {
-      static const std::pair<const char*, const char*> kCombos[] = {
-          {"degree-one", "path5"},
-          {"spanning-bfs", "cycle6"},
-          {"even-cycle", "cycle8"},
-          {"degree-one", "star5"},
-      };
-      const auto& [lcp, inst] = kCombos[variant % std::size(kCombos)];
-      params["lcp"] = lcp;
-      params["instance"] = inst;
-      params["labels"] = "honest";
-      if (variant % 2 == 1) {
-        FaultPlan plan;
-        plan.label = "drop-light";
-        plan.seed = 0xC0FFEE + variant;
-        plan.drop_permille = 100;
-        params["plan"] = plan.describe();
-      }
-      return {"run_decoder", std::move(params)};
-    }
-    case 1: {
-      static const char* kPool[] = {"path5", "cycle5", "grid23", "theta222"};
-      params["instance"] = kPool[variant % std::size(kPool)];
-      params["k"] = static_cast<std::int64_t>(2 + variant % 2);
-      return {"check_coloring", std::move(params)};
-    }
-    case 2: {
-      params["family"] = variant % 2 == 0 ? "degree-one" : "even-cycle";
-      params["max_n"] = 4;
-      return {"search_witness", std::move(params)};
-    }
-    default: {
-      static const std::pair<const char*, const char*> kBuilds[] = {
-          {"degree-one", "path:4"},
-          {"even-cycle", "cycle:4"},
-          {"spanning-bfs", "path:4"},
-          {"even-cycle", "cycle:6"},
-      };
-      const auto& [lcp, spec] = kBuilds[variant % std::size(kBuilds)];
-      params["lcp"] = lcp;
-      Json& graphs = (params["graphs"] = Json::array());
-      graphs.push_back(spec);
-      params["build"] = "proved";
-      return {"build_nbhd", std::move(params)};
-    }
-  }
-}
-
-/// Ground truth: the same library code the backends run, in-process.
-std::vector<std::string> compute_oracle() {
-  Service oracle;
-  std::vector<std::string> dumps;
-  for (int slot = 0; slot < kPoolSize; ++slot) {
-    auto [op, params] = pool_payload(slot);
-    Json req = Json::object();
-    req["id"] = static_cast<std::int64_t>(slot);
-    req["op"] = op;
-    req["params"] = std::move(params);
-    const Json resp = oracle.handle(req);
-    SHLCP_CHECK_MSG(resp.at("ok").as_bool(),
-                    "oracle refused slot " + std::to_string(slot) + ": " +
-                        resp.dump());
-    dumps.push_back(resp.at("result").dump());
-  }
-  return dumps;
-}
-
-std::size_t distinct_keys() {
+/// Disjoint sharding is checked against the number of distinct
+/// artifact keys in the pool.
+std::size_t distinct_keys(const std::vector<svc::Payload>& pool) {
   std::set<std::string> keys;
-  for (int slot = 0; slot < kPoolSize; ++slot) {
-    auto [op, params] = pool_payload(slot);
-    keys.insert(svc::artifact_key(op, params));
+  for (const svc::Payload& p : pool) {
+    keys.insert(svc::artifact_key(p.op, p.params));
   }
   return keys.size();
 }
@@ -215,6 +138,7 @@ struct CaseResult {
 /// One fleet size: spawn n backends, route the pool through an
 /// in-process Router, read the aggregated health back, tear down.
 CaseResult run_case(const std::string& shlcpd, int n,
+                    const std::vector<svc::Payload>& pool,
                     const std::vector<std::string>& oracle) {
   char tmpl[] = "/tmp/shlcp-fleet.XXXXXX";
   SHLCP_CHECK_MSG(::mkdtemp(tmpl) != nullptr, "mkdtemp failed");
@@ -232,51 +156,21 @@ CaseResult run_case(const std::string& shlcpd, int n,
   Router router(options);
   SHLCP_CHECK_MSG(router.probe_all() == n, "not every backend came up");
 
+  // Every failed call is an error: the in-process router always answers.
+  svc::DriveOptions drive;
+  drive.workers = fleet_workers();
+  drive.total = static_cast<std::uint64_t>(fleet_requests());
+  drive.label = "bench_fleet";
+  const svc::Tally tally = svc::drive_pool(
+      drive, [&](int) { return svc::in_process_caller(router); }, pool,
+      &oracle);
   CaseResult result;
   result.backends = n;
-  const int total = fleet_requests();
-  const int workers = fleet_workers();
-  std::vector<CaseResult> outs(static_cast<std::size_t>(workers));
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  for (int w = 0; w < workers; ++w) {
-    threads.emplace_back([&, w] {
-      CaseResult& out = outs[static_cast<std::size_t>(w)];
-      for (int i = w; i < total; i += workers) {
-        const int slot = i % kPoolSize;
-        auto [op, params] = pool_payload(slot);
-        Json req = Json::object();
-        req["id"] = static_cast<std::int64_t>(i);
-        req["op"] = op;
-        req["params"] = std::move(params);
-        const Json resp = router.handle(req);
-        out.requests += 1;
-        if (!resp.at("ok").as_bool()) {
-          out.errors += 1;
-          std::fprintf(stderr, "bench_fleet: slot %d failed: %s\n", slot,
-                       resp.dump().c_str());
-        } else if (resp.at("result").dump() !=
-                   oracle[static_cast<std::size_t>(slot)]) {
-          out.wrong += 1;
-          std::fprintf(stderr, "bench_fleet: WRONG RESPONSE slot %d\n", slot);
-        } else {
-          out.ok += 1;
-        }
-      }
-    });
-  }
-  for (std::thread& t : threads) {
-    t.join();
-  }
-  result.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  for (const CaseResult& out : outs) {
-    result.requests += out.requests;
-    result.ok += out.ok;
-    result.errors += out.errors;
-    result.wrong += out.wrong;
-  }
+  result.requests = tally.requests;
+  result.ok = tally.ok;
+  result.errors = tally.errors;
+  result.wrong = tally.wrong;
+  result.seconds = tally.seconds;
   result.req_per_s = result.seconds > 0
                          ? static_cast<double>(result.requests) / result.seconds
                          : 0;
@@ -294,7 +188,7 @@ CaseResult run_case(const std::string& shlcpd, int n,
   } else {
     result.errors += 1;
   }
-  const std::uint64_t distinct = distinct_keys();
+  const std::uint64_t distinct = distinct_keys(pool);
   result.duplicate_computes =
       result.sum_misses > distinct ? result.sum_misses - distinct : 0;
 
@@ -303,9 +197,9 @@ CaseResult run_case(const std::string& shlcpd, int n,
   // preference order starts there (plus the health fan-out), and
   // nothing was rerouted.
   std::vector<std::uint64_t> expected(static_cast<std::size_t>(n), 0);
-  for (int i = 0; i < total; ++i) {
-    auto [op, params] = pool_payload(i % kPoolSize);
-    const std::vector<int> pref = router.preference_for(op, params);
+  for (std::uint64_t i = 0; i < drive.total; ++i) {
+    const svc::Payload& p = pool[i % pool.size()];
+    const std::vector<int> pref = router.preference_for(p.op, p.params);
     expected[static_cast<std::size_t>(pref.at(0))] += 1;
   }
   result.ownership_ok = true;
@@ -350,19 +244,21 @@ int main() {
     return 1;
   }
 
-  std::printf("== oracle: %d payload slots (%zu distinct keys) ==\n",
-              kPoolSize, distinct_keys());
-  const std::vector<std::string> oracle = compute_oracle();
+  const std::vector<svc::Payload> pool = svc::payload_pool();
+  std::printf("== oracle: %zu payload slots (%zu distinct keys) ==\n",
+              pool.size(), distinct_keys(pool));
+  const std::vector<std::string> oracle = svc::oracle(pool);
 
   bench::Report report("fleet");
-  report.meta()["distinct_keys"] = static_cast<std::uint64_t>(distinct_keys());
+  report.meta()["distinct_keys"] =
+      static_cast<std::uint64_t>(distinct_keys(pool));
   report.gate("distinct_keys", "meta.distinct_keys", ">", 0);
   // The first size is the single-backend baseline, the rest the scaling
   // curve; each case is gated on its own, so a missing one fails too.
   for (const int n : fleet_sizes()) {
     std::printf("== fleet of %d backend(s): %d requests ==\n", n,
                 fleet_requests());
-    const CaseResult r = run_case(shlcpd, n, oracle);
+    const CaseResult r = run_case(shlcpd, n, pool, oracle);
     std::printf(
         "backends=%d: %.1f req/s (%llu ok, %llu errors, %llu wrong) "
         "misses=%llu distinct=%zu duplicates=%llu reroutes=%llu "
@@ -370,7 +266,7 @@ int main() {
         n, r.req_per_s, static_cast<unsigned long long>(r.ok),
         static_cast<unsigned long long>(r.errors),
         static_cast<unsigned long long>(r.wrong),
-        static_cast<unsigned long long>(r.sum_misses), distinct_keys(),
+        static_cast<unsigned long long>(r.sum_misses), distinct_keys(pool),
         static_cast<unsigned long long>(r.duplicate_computes),
         static_cast<unsigned long long>(r.reroutes),
         r.ownership_ok ? "ok" : "FAILED");

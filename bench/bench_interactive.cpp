@@ -40,9 +40,9 @@
 #include "graph/algorithms.h"
 #include "graph/generators.h"
 #include "interactive/audit.h"
-#include "interactive/commit.h"
 #include "interactive/protocol.h"
 #include "service/chaos.h"
+#include "service/loadgen.h"
 #include "service/service.h"
 #include "util/check.h"
 #include "util/format.h"
@@ -82,62 +82,6 @@ Json make_request(const std::string& op, Json params) {
   req["op"] = op;
   req["params"] = std::move(params);
   return req;
-}
-
-/// Runs one honest wire session of `rounds` rounds to its verdict.
-/// Returns true iff the service accepted every step and the verdict is
-/// true (it must be -- the coloring is proper).
-bool run_wire_session(svc::Service& service, const std::string& id,
-                      const std::vector<int>& coloring, int rounds) {
-  Json params = Json::object();
-  params["session"] = id;
-  params["instance"] = "cycle6";
-  params["k"] = 2;
-  params["rounds"] = rounds;
-  Json response = service.handle(make_request("session_open", params));
-  if (!response.at("ok").as_bool()) {
-    return false;
-  }
-  ia::CommitProver prover(coloring, 2, id, fnv1a64(id));
-  bool verdict = false;
-  for (int r = 0; r < rounds; ++r) {
-    Json commit = Json::object();
-    commit["type"] = "commit";
-    Json& arr = (commit["commitments"] = Json::array());
-    for (const std::uint64_t c : prover.commit_round()) {
-      arr.push_back(ia::hex16(c));
-    }
-    Json step = Json::object();
-    step["session"] = id;
-    step["msg"] = std::move(commit);
-    response = service.handle(make_request("session_step", step));
-    if (!response.at("ok").as_bool()) {
-      return false;
-    }
-    const Json& ch = response.at("result").at("reply").at("challenge");
-    Json open = Json::object();
-    open["type"] = "open";
-    Json& opens = (open["opens"] = Json::array());
-    for (std::size_t i = 0; i < 2; ++i) {
-      const ia::Opening o = prover.open(static_cast<int>(ch.at(i).as_int()));
-      Json& entry = opens.push_back(Json::array());
-      entry.push_back(o.node);
-      entry.push_back(o.color);
-      entry.push_back(ia::hex16(o.nonce));
-    }
-    Json step2 = Json::object();
-    step2["session"] = id;
-    step2["msg"] = std::move(open);
-    response = service.handle(make_request("session_step", step2));
-    if (!response.at("ok").as_bool()) {
-      return false;
-    }
-    const Json& reply = response.at("result").at("reply");
-    if (reply.contains("verdict")) {
-      verdict = reply.at("verdict").as_bool();
-    }
-  }
-  return verdict;
 }
 
 }  // namespace
@@ -282,10 +226,12 @@ int main() {
     std::uint64_t attempts = 0;
     std::uint64_t honest_ok = 0;
     const auto t0 = std::chrono::steady_clock::now();
+    const svc::Caller caller = svc::in_process_caller(service);
     for (int i = 0; i < accounting_honest(); ++i) {
       ++attempts;
+      const std::string id = format("bench-h%d", i);
       honest_ok +=
-          run_wire_session(service, format("bench-h%d", i), *coloring, 2);
+          svc::honest_session(caller, id, *coloring, 2, fnv1a64(id)).ok;
       now += 10;  // well under the TTL
     }
     // Expired: open, let the TTL lapse, let the next op sweep.

@@ -28,7 +28,6 @@
 #include <signal.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -38,7 +37,7 @@
 #include <vector>
 
 #include "bench/report.h"
-#include "service/client.h"
+#include "service/loadgen.h"
 #include "service/router.h"
 #include "service/service.h"
 #include "service/supervisor.h"
@@ -51,7 +50,6 @@ using namespace shlcp;
 using svc::BackendRuntime;
 using svc::Router;
 using svc::RouterOptions;
-using svc::Service;
 using svc::SupervisedBackendStats;
 using svc::Supervisor;
 using svc::SupervisorOptions;
@@ -72,7 +70,7 @@ int kill_spacing_ms() { return bench::smoke() ? 200 : 400; }
 constexpr int kPoolSize = 8;
 constexpr int kReserves = 2;
 
-std::pair<std::string, Json> payload(int slot) {
+svc::Payload payload(int slot) {
   Json params = Json::object();
   if (slot < kPoolSize) {
     static const std::pair<const char*, std::int64_t> kColorings[] = {
@@ -87,76 +85,6 @@ std::pair<std::string, Json> payload(int slot) {
   params["instance"] = slot == kPoolSize ? "complete4" : "star5";
   params["k"] = 3;
   return {"check_coloring", std::move(params)};
-}
-
-std::vector<std::string> compute_oracle() {
-  Service oracle;
-  std::vector<std::string> dumps;
-  for (int slot = 0; slot < kPoolSize + kReserves; ++slot) {
-    auto [op, params] = payload(slot);
-    Json req = Json::object();
-    req["id"] = static_cast<std::int64_t>(slot);
-    req["op"] = op;
-    req["params"] = std::move(params);
-    const Json resp = oracle.handle(req);
-    SHLCP_CHECK_MSG(resp.at("ok").as_bool(),
-                    "oracle refused slot " + std::to_string(slot));
-    dumps.push_back(resp.at("result").dump());
-  }
-  return dumps;
-}
-
-Json make_request(std::int64_t id, int slot) {
-  auto [op, params] = payload(slot);
-  Json req = Json::object();
-  req["id"] = id;
-  req["op"] = op;
-  req["params"] = std::move(params);
-  return req;
-}
-
-struct StreamResult {
-  std::uint64_t requests = 0;
-  std::uint64_t ok = 0;
-  std::uint64_t refused = 0;  // overloaded / draining (fleet mid-kill)
-  std::uint64_t errors = 0;   // any other error code
-  std::uint64_t lost = 0;     // no response envelope at all
-  std::uint64_t wrong = 0;    // != oracle bytes: must stay zero
-
-  void merge(const StreamResult& other) {
-    requests += other.requests;
-    ok += other.ok;
-    refused += other.refused;
-    errors += other.errors;
-    lost += other.lost;
-    wrong += other.wrong;
-  }
-};
-
-void score(const Json& resp, int slot, const std::vector<std::string>& oracle,
-           StreamResult* out) {
-  out->requests += 1;
-  if (!resp.is_object() || !resp.contains("ok")) {
-    out->lost += 1;
-    return;
-  }
-  if (resp.at("ok").as_bool()) {
-    if (resp.at("result").dump() == oracle[static_cast<std::size_t>(slot)]) {
-      out->ok += 1;
-    } else {
-      out->wrong += 1;
-      std::fprintf(stderr, "bench_supervisor: WRONG RESPONSE slot %d\n", slot);
-    }
-    return;
-  }
-  const std::string code = resp.at("error").at("code").as_string();
-  if (code == "overloaded" || code == "draining") {
-    out->refused += 1;
-  } else {
-    out->errors += 1;
-    std::fprintf(stderr, "bench_supervisor: slot %d error %s\n", slot,
-                 code.c_str());
-  }
 }
 
 std::uint64_t total_restarts(const std::vector<SupervisedBackendStats>& s) {
@@ -205,7 +133,13 @@ int main() {
   SHLCP_CHECK_MSG(::mkdtemp(tmpl) != nullptr, "mkdtemp failed");
   const std::string dir = tmpl;
 
-  const std::vector<std::string> oracle = compute_oracle();
+  std::vector<svc::Payload> payloads;
+  for (int slot = 0; slot < kPoolSize + kReserves; ++slot) {
+    payloads.push_back(payload(slot));
+  }
+  const std::vector<svc::Payload> pool(payloads.begin(),
+                                       payloads.begin() + kPoolSize);
+  const std::vector<std::string> oracle = svc::oracle(payloads);
 
   SupervisorOptions sup_options;
   sup_options.shlcpd_path = shlcpd;
@@ -236,34 +170,17 @@ int main() {
                   "not every backend probes alive");
   supervisor.attach_router(&router);
   supervisor.start_monitor();
+  const svc::Caller routed = svc::in_process_caller(router);
 
   // Prime the reserve payloads while the fleet is intact: they hit
   // their ring owners' disk caches and are never sent again until the
   // warm-restart probe at the end.
-  for (int r = 0; r < kReserves; ++r) {
-    const Json resp = router.handle(make_request(1000 + r, kPoolSize + r));
-    SHLCP_CHECK_MSG(resp.at("ok").as_bool(), "priming reserve failed");
-    SHLCP_CHECK_MSG(
-        resp.at("result").dump() ==
-            oracle[static_cast<std::size_t>(kPoolSize + r)],
-        "reserve prime mismatch");
-  }
-
-  // The load: workers stream pool payloads through the router until
-  // the kill schedule completes.
-  std::atomic<bool> stop{false};
-  std::vector<StreamResult> outs(static_cast<std::size_t>(workers()));
-  std::vector<std::thread> threads;
-  for (int w = 0; w < workers(); ++w) {
-    threads.emplace_back([&, w] {
-      std::int64_t i = w;
-      while (!stop.load(std::memory_order_relaxed)) {
-        const int slot = static_cast<int>(i % kPoolSize);
-        score(router.handle(make_request(i, slot)), slot, oracle,
-              &outs[static_cast<std::size_t>(w)]);
-        i += workers();
-      }
-    });
+  for (int r = kPoolSize; r < kPoolSize + kReserves; ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    const svc::CallResult primed =
+        routed.call(payloads[i].op, payloads[i].params);
+    SHLCP_CHECK_MSG(primed.ok, "priming reserve failed");
+    SHLCP_CHECK_MSG(primed.result_dump == oracle[i], "reserve prime mismatch");
   }
 
   // The kill schedule: first a round-robin pass so every backend dies
@@ -274,58 +191,61 @@ int main() {
   int kills = 0;
   std::uint64_t slowest_recovery_ms = 0;
   bool budget_ok = true;
-  for (int cycle = 0; cycle < kMinKills * 3 && kills < kMinKills; ++cycle) {
+  const auto kill_schedule = [&] {
+    for (int cycle = 0; cycle < kMinKills * 3 && kills < kMinKills; ++cycle) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(kill_spacing_ms()));
+      const int victim =
+          kills < fleet_size()
+              ? kills
+              : static_cast<int>(victim_rng.next_below(
+                    static_cast<std::uint64_t>(fleet_size())));
+      const auto before = supervisor.stats();
+      const pid_t pid = supervisor.pid_of(victim);
+      if (pid <= 0) {
+        continue;  // mid-restart straggler; try again next cycle
+      }
+      ::kill(pid, SIGKILL);
+      ++kills;
+      const std::uint64_t recovery = await_recovery(
+          supervisor, victim,
+          before.at(static_cast<std::size_t>(victim)).restarts);
+      if (recovery == UINT64_MAX) {
+        std::fprintf(stderr,
+                     "bench_supervisor: backend b%d missed the %llu ms restart "
+                     "budget\n",
+                     victim, static_cast<unsigned long long>(kRestartBudgetMs));
+        budget_ok = false;
+        break;
+      }
+      slowest_recovery_ms = std::max(slowest_recovery_ms, recovery);
+    }
     std::this_thread::sleep_for(std::chrono::milliseconds(kill_spacing_ms()));
-    const int victim =
-        kills < fleet_size()
-            ? kills
-            : static_cast<int>(victim_rng.next_below(
-                  static_cast<std::uint64_t>(fleet_size())));
-    const auto before = supervisor.stats();
-    const pid_t pid = supervisor.pid_of(victim);
-    if (pid <= 0) {
-      continue;  // mid-restart straggler; try again next cycle
-    }
-    ::kill(pid, SIGKILL);
-    ++kills;
-    const std::uint64_t recovery = await_recovery(
-        supervisor, victim,
-        before.at(static_cast<std::size_t>(victim)).restarts);
-    if (recovery == UINT64_MAX) {
-      std::fprintf(stderr,
-                   "bench_supervisor: backend b%d missed the %llu ms restart "
-                   "budget\n",
-                   victim, static_cast<unsigned long long>(kRestartBudgetMs));
-      budget_ok = false;
-      break;
-    }
-    slowest_recovery_ms = std::max(slowest_recovery_ms, recovery);
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(kill_spacing_ms()));
-  stop.store(true, std::memory_order_relaxed);
-  for (std::thread& t : threads) {
-    t.join();
-  }
+  };
 
-  StreamResult stream;
-  for (const StreamResult& out : outs) {
-    stream.merge(out);
-  }
+  // The load: workers stream pool payloads through the router until
+  // the kill schedule completes. A fleet mid-kill may refuse
+  // (overloaded / draining); "lost" is a response with no envelope.
+  svc::DriveOptions drive;
+  drive.workers = workers();
+  drive.benign = {svc::kErrOverloaded, svc::kErrDraining};
+  drive.label = "bench_supervisor";
+  const svc::Tally stream = svc::drive_pool(
+      drive, [&](int) { return routed; }, pool, &oracle, kill_schedule);
 
   // Warm-restart probe: the reserves were primed before any kill and
   // their owners have all crashed and revived since -- the replay must
   // come back cached (the restarted incarnations reread their disk
   // caches) and byte-identical.
   bool warm_ok = true;
-  for (int r = 0; r < kReserves && budget_ok; ++r) {
-    const Json resp = router.handle(make_request(2000 + r, kPoolSize + r));
-    if (!resp.at("ok").as_bool() ||
-        resp.at("result").dump() !=
-            oracle[static_cast<std::size_t>(kPoolSize + r)] ||
-        !resp.at("cached").as_bool()) {
+  for (int r = kPoolSize; r < kPoolSize + kReserves && budget_ok; ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    const svc::CallResult probe =
+        routed.call(payloads[i].op, payloads[i].params);
+    if (!probe.ok || probe.result_dump != oracle[i] ||
+        !probe.response.at("cached").as_bool()) {
       std::fprintf(stderr,
                    "bench_supervisor: warm-restart probe %d failed: %s\n", r,
-                   resp.dump().c_str());
+                   probe.response.dump().c_str());
       warm_ok = false;
     }
   }

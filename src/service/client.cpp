@@ -48,8 +48,27 @@ bool code_is_retriable(const std::string& code) {
 
 }  // namespace
 
+ClientStats& ClientStats::operator+=(const ClientStats& other) {
+  calls += other.calls;
+  attempts += other.attempts;
+  retries += other.retries;
+  reconnects += other.reconnects;
+  timeouts += other.timeouts;
+  transport_errors += other.transport_errors;
+  digest_mismatches += other.digest_mismatches;
+  refused_overloaded += other.refused_overloaded;
+  refused_draining += other.refused_draining;
+  refused_deadline += other.refused_deadline;
+  refused_integrity += other.refused_integrity;
+  backoff_ms_total += other.backoff_ms_total;
+  return *this;
+}
+
 Client::Client(Connector connector, ClientOptions options)
-    : connector_(std::move(connector)), options_(std::move(options)) {}
+    : connector_(std::move(connector)), options_(std::move(options)) {
+  SHLCP_CHECK_MSG(static_cast<bool>(connector_),
+                  "Client needs a connector (malformed target spec?)");
+}
 
 Client::~Client() = default;
 

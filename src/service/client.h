@@ -90,6 +90,9 @@ struct ClientStats {
   std::uint64_t refused_deadline = 0;
   std::uint64_t refused_integrity = 0;
   std::uint64_t backoff_ms_total = 0;
+
+  /// Field-wise sum (merging the stats of several clients).
+  ClientStats& operator+=(const ClientStats& other);
 };
 
 /// Outcome of one call() after retries.

@@ -1,7 +1,7 @@
 // Generic poll-driven stream-server loop shared by every network
 // transport (DESIGN.md §15).
 //
-// PR 7's serve_socket already had everything a production listener
+// The unix-socket server already had everything a production listener
 // needs -- non-blocking accept, per-connection read buffers, bounded
 // write buffers flushed on POLLOUT, admission control with "overloaded"
 // shedding, and the three-part drain contract (finish in-flight, refuse
@@ -19,8 +19,9 @@
 //                     raw reads and emits zero or more Inbound request
 //                     envelopes (plus optional canned bytes -- e.g. an
 //                     HTTP 404 -- which are sequenced through the same
-//                     ordering path as real responses so a pipelined
-//                     client never sees replies out of order).
+//                     ordering path as real responses so a client that
+//                     pipelines requests on one connection (perfbench's
+//                     driver does) never sees replies out of order).
 //                     encode_response()/encode_shed() map dispatcher
 //                     output and admission refusals back to the wire.
 //   Dispatcher        Service (local compute) or Router (fleet
@@ -34,7 +35,10 @@
 //
 // serve_pipe (server.cpp) keeps its simpler blocking-write loop but
 // shares the admission/dispatch helpers below, so shedding semantics
-// and retry_after_ms hints are identical on every transport.
+// and retry_after_ms hints are identical on every transport. The pipe
+// carries tests and one-off `printf | shlcpd --pipe` probes only: every
+// load generator (shlcp_loadgen, the service benches, perfbench) runs
+// over the socket transports this loop serves.
 
 #pragma once
 

@@ -14,7 +14,11 @@
 //   * the Client retries overloaded refusals (honoring retry_after_ms),
 //     retries digest-mismatched responses instead of surfacing them,
 //     reconnects after attempt timeouts, attaches the "check" integrity
-//     digest, and never retries fatal error codes.
+//     digest, never retries fatal error codes, and refuses to be built
+//     without a connector;
+//   * the load driver (service/loadgen.h) books every answer in exactly
+//     one outcome bucket, and its pool and honest-session drivers agree
+//     with an in-process Service.
 
 #include <sys/socket.h>
 #include <unistd.h>
@@ -33,6 +37,7 @@
 #include "service/cache.h"
 #include "service/chaos.h"
 #include "service/client.h"
+#include "service/loadgen.h"
 #include "service/proto.h"
 #include "service/service.h"
 #include "util/check.h"
@@ -497,6 +502,108 @@ TEST(Client, TimeoutDropsConnectionAndRetriesOnAFreshOne) {
   EXPECT_EQ(client.stats().timeouts, 1u);
   EXPECT_GE(client.stats().reconnects, 1u);
   EXPECT_EQ(server.connections(), 2);
+}
+
+TEST(Client, RejectsAnEmptyConnector) {
+  // connector_for() returns an empty Connector for a malformed target;
+  // the Client must refuse it up front, not crash on the first call.
+  const Client::Connector none =
+      Client::connector_for("tcp:127.0.0.1:abc", ChaosPlan{});
+  ASSERT_FALSE(static_cast<bool>(none));
+  EXPECT_THROW(Client(none, ClientOptions{}), CheckError);
+}
+
+TEST(Client, StatsMergeFieldByField) {
+  ClientStats a;
+  a.calls = 1;
+  a.retries = 2;
+  a.backoff_ms_total = 30;
+  ClientStats b;
+  b.calls = 4;
+  b.refused_integrity = 5;
+  b.backoff_ms_total = 6;
+  a += b;
+  EXPECT_EQ(a.calls, 5u);
+  EXPECT_EQ(a.retries, 2u);
+  EXPECT_EQ(a.refused_integrity, 5u);
+  EXPECT_EQ(a.backoff_ms_total, 36u);
+}
+
+// ---------------------------------------------------------------------
+// The load driver.
+
+TEST(LoadDriver, EveryAnswerLandsInExactlyOneBucket) {
+  DriveOptions options;
+  options.benign = {kErrDraining};
+  options.label = "test";
+  const std::string truth = "{\"x\":1}";
+  CallResult ok;
+  ok.ok = true;
+  ok.result_dump = truth;
+  CallResult wrong = ok;
+  wrong.result_dump = "{\"x\":2}";
+  CallResult refused;
+  refused.error_code = kErrDraining;
+  CallResult error;
+  error.error_code = kErrInvalidParams;
+  const CallResult lost;  // no wire code at all
+
+  Tally tally;
+  for (const CallResult& r : {ok, wrong, refused, error, lost}) {
+    tally.score(Shot{"op", r, &truth}, 10, options);
+  }
+  tally.score(Shot{"other", wrong, nullptr}, 30, options);  // unchecked
+  EXPECT_EQ(tally.requests, 6u);
+  EXPECT_EQ(tally.ok, 2u);
+  EXPECT_EQ(tally.wrong, 1u);
+  EXPECT_EQ(tally.refused, 1u);
+  EXPECT_EQ(tally.errors, 1u);
+  EXPECT_EQ(tally.lost, 1u);
+  EXPECT_EQ(tally.ops.at("op").errors, 1u);
+  EXPECT_EQ(tally.ops.at("op").latencies_us.size(), 5u);
+  EXPECT_EQ(tally.percentile_us(1.0), 30u);
+
+  Tally merged = tally;
+  merged += tally;
+  EXPECT_EQ(merged.requests, 12u);
+  EXPECT_EQ(merged.ops.at("other").latencies_us.size(), 2u);
+}
+
+TEST(LoadDriver, PoolRunMatchesTheOracleOnEveryWorker) {
+  const std::vector<Payload> pool = payload_pool();
+  ASSERT_EQ(pool.size(), 16u);
+  const std::vector<std::string> truth = oracle(pool);
+  Service service;
+  DriveOptions options;
+  options.workers = 3;
+  options.total = 40;
+  std::vector<int> built(3, 0);
+  const Tally tally = drive_pool(
+      options,
+      [&](int w) {
+        built[static_cast<std::size_t>(w)] += 1;
+        return in_process_caller(service);
+      },
+      pool, &truth);
+  EXPECT_EQ(built, std::vector<int>({1, 1, 1}));
+  EXPECT_EQ(tally.requests, 40u);
+  EXPECT_EQ(tally.ok, 40u);
+  EXPECT_EQ(tally.ops.size(), 4u);  // all four cacheable endpoints
+}
+
+TEST(LoadDriver, HonestSessionIsAccepted) {
+  Service service;
+  const Caller caller = in_process_caller(service);
+  const std::vector<int> coloring = {0, 1, 0, 1, 0, 1};  // cycle6
+  const CallResult accepted =
+      honest_session(caller, "t-honest", coloring, 3, 7);
+  EXPECT_TRUE(accepted.ok) << accepted.error_code << accepted.error_detail;
+  // Every edge of a constant coloring is monochromatic, so the first
+  // challenge ends the session; the rejecting verdict is an error.
+  const CallResult rejected =
+      honest_session(caller, "t-cheat", {0, 0, 0, 0, 0, 0}, 4, 7);
+  EXPECT_FALSE(rejected.ok);
+  EXPECT_EQ(rejected.error_code, "rejected");
 }
 
 }  // namespace

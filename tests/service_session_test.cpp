@@ -24,9 +24,9 @@
 
 #include "graph/algorithms.h"
 #include "graph/generators.h"
-#include "interactive/commit.h"
 #include "interactive/protocol.h"
 #include "service/cache.h"
+#include "service/loadgen.h"
 #include "service/router.h"
 #include "service/service.h"
 
@@ -68,47 +68,15 @@ Json step_request(const std::string& id, Json msg) {
   return make_request(0, "session_step", std::move(params));
 }
 
-/// Drives one honest session over the wire ops; returns the final
-/// step's result (carrying the verdict).
-Json run_honest_session(Service& service, const std::string& id,
-                        const std::string& instance, const Graph& g,
-                        int rounds) {
-  const Json opened = service.handle(
-      make_request(1, "session_open", open_params(id, instance, rounds)));
-  ok_result(opened);
-  const std::optional<std::vector<int>> coloring = k_coloring(g, 2);
-  EXPECT_TRUE(coloring.has_value());
-  ia::CommitProver prover(*coloring, 2, id, 0x10ADULL);
-  Json last;
-  for (int r = 0; r < rounds; ++r) {
-    Json commit = Json::object();
-    commit["type"] = "commit";
-    Json& arr = (commit["commitments"] = Json::array());
-    for (const std::uint64_t c : prover.commit_round()) {
-      arr.push_back(ia::hex16(c));
-    }
-    const Json committed =
-        ok_result(service.handle(step_request(id, std::move(commit))));
-    const Json& ch = committed.at("reply").at("challenge");
-    Json open = Json::object();
-    open["type"] = "open";
-    Json& opens = (open["opens"] = Json::array());
-    for (std::size_t i = 0; i < 2; ++i) {
-      const ia::Opening o = prover.open(static_cast<int>(ch.at(i).as_int()));
-      Json& entry = opens.push_back(Json::array());
-      entry.push_back(o.node);
-      entry.push_back(o.color);
-      entry.push_back(ia::hex16(o.nonce));
-    }
-    last = ok_result(service.handle(step_request(id, std::move(open))));
-  }
-  return last;
-}
-
 TEST(SessionOps, HonestSessionCompletesOverTheWire) {
   Service service;
-  const Json last =
-      run_honest_session(service, "s-honest", "cycle6", make_cycle(6), 3);
+  const std::optional<std::vector<int>> coloring =
+      k_coloring(make_cycle(6), 2);
+  ASSERT_TRUE(coloring.has_value());
+  const CallResult honest = honest_session(in_process_caller(service),
+                                           "s-honest", *coloring, 3, 0x10AD);
+  ASSERT_TRUE(honest.ok) << honest.error_code << ": " << honest.error_detail;
+  const Json last = Json::parse(honest.result_dump);
   EXPECT_TRUE(last.at("completed").as_bool());
   EXPECT_TRUE(last.at("reply").at("verdict").as_bool());
 

@@ -13,7 +13,9 @@ benches actually wrote. Besides the document shape it evaluates the
 report's "gates" array (format in bench/report.h): every gate is
 recomputed from the raw fields of the file, so an edited count, a
 broken accounting sum, or a missing case or histogram fails here even
-though the bench that wrote the file passed.
+though the bench that wrote the file passed. The gate names each gated
+bench must declare are pinned in REQUIRED_GATES, so a report whose
+gates were deleted fails too.
 With --trace it instead validates a JSONL trace file (one span/event
 object per line, as emitted by src/util/trace.cpp).
 With --ckpt it validates checkpoint directories written by the resumable
@@ -79,6 +81,58 @@ CKPT_STOP_REASONS = {"none", "cancel_requested", "interrupt", "deadline",
                      "frame_budget", "instance_budget", "memory_budget",
                      "stall"}
 DIGEST_RE = re.compile(r"^fnv:[0-9a-f]{16}$")
+
+
+def _per_case(cases, fields):
+    return [f"{c}.{f}" for c in cases for f in fields]
+
+
+# The gates every run of a gated bench must declare, smoke or full: the
+# names the two sizes share (a full run adds more, e.g. fleet's
+# backends_4 and parallel_enum's threads_4/threads_8 cases). A report
+# of one of these benches that lacks any of them fails, so a bench (or
+# an edit to its report) cannot drop a gate and still pass.
+REQUIRED_GATES = {
+    "service": [
+        "verified", "drain_refused", "requests", "cold_errors",
+        "warm_errors", "hit_rate_warm_floor", "hit_rate_warm_ceiling",
+    ] + [f"{op}_latency_recorded" for op in (
+        "run_decoder", "check_coloring", "search_witness", "build_nbhd")],
+    "chaos": [
+        "wrong_responses", "kills", "repro_round_trip", "replay_match",
+        "reserves_primed", "disk_hit_after_restart", "torn_entry_is_miss",
+    ] + [f"{p}_{f}" for p in ("chaos", "crash") for f in (
+        "requests", "accounting", "errors", "retries", "reconnects",
+        "timeouts", "digest_mismatches")]
+    + ["chaos_lost_minority", "crash_lost"],
+    "fleet": ["distinct_keys"] + _per_case(
+        ["backends_1", "backends_2"],
+        ["backends", "requests", "accounting", "errors", "wrong",
+         "duplicate_computes", "reroutes", "sum_misses", "ownership_ok",
+         "req_per_s"]),
+    "supervisor": [
+        "wrong_responses", "kills", "restarts", "any_quarantined",
+        "budget_ok", "warm_hit_after_restart", "all_running_at_end",
+        "stream_requests", "stream_accounting", "stream_errors",
+        "stream_lost",
+    ],
+    "interactive": [
+        "binding_violations", "binding_ok", "binding_sessions",
+        "forgeries_tried", "binding_attacks", "hiding_ok",
+        "hiding_colorings", "hiding_coloring_0", "hiding_coloring_1",
+    ] + _per_case(
+        [f"rounds_{r}" for r in (1, 2, 4, 8, 16)],
+        ["rounds", "sessions", "accepted", "rate_min", "rate_max",
+         "envelope_min", "envelope_max", "within"])
+    + ["serving_attempts", "opened_is_attempts", "session_accounting",
+       "admission_accounting", "aborted", "live", "sessions",
+       "honest_sessions_accepted"],
+    "parallel_enum": _per_case(
+        ["sequential", "threads_1", "threads_2"],
+        ["seconds", "instances_per_sec", "speedup",
+         "fingerprint_accounting", "canonical_computes", "steals",
+         "chunks_adaptive"]) + ["registrations"],
+}
 
 
 def fnv1a_hex(data):
@@ -190,6 +244,10 @@ def check_report_doc(path, doc):
         problem = gate_failure(doc, gate)
         if problem:
             ok = fail(path, f"gate {problem}")
+    for name in REQUIRED_GATES.get(doc["bench"], []):
+        if name not in names:
+            ok = fail(path, f"gate {name!r} is required for bench "
+                            f"{doc['bench']!r} but missing")
     return ok
 
 
@@ -487,6 +545,16 @@ def self_test():
         bad = write("bad_schema.json", bad_schema)
         duplicate = _selftest_report(SELFTEST_HOLDING_GATES[:1])
         duplicate["gates"] *= 2
+        # A supervisor report carrying every pinned gate passes; the
+        # same report with one of them deleted fails.
+        pinned = _selftest_report()
+        pinned["bench"] = "supervisor"
+        pinned["gates"] = [{"name": name, "observed": "meta.kills",
+                            "relation": ">=", "bound": 0}
+                           for name in REQUIRED_GATES["supervisor"]]
+        pinned_good = write("pinned_good.json", pinned)
+        del pinned["gates"][3]
+        pinned_dropped = write("pinned_dropped.json", pinned)
         malformed = write("malformed.json", '{"schema": "shlcp.bench.v2",')
         missing = os.path.join(tmp, "does_not_exist.json")
 
@@ -494,6 +562,8 @@ def self_test():
             (PASS, [good]),
             (FAIL, [bad]),
             (FAIL, [write("duplicate_gate.json", duplicate)]),
+            (PASS, [pinned_good]),
+            (FAIL, [pinned_dropped]),
             (USAGE, []),
             (USAGE, ["--trace"]),
             (USAGE, ["--no-such-mode", good]),
