@@ -47,9 +47,11 @@
 //   --breaker-failures N    crashes in window that quarantine (default 5)
 //   --breaker-window-ms N   crash-loop window (default 30000)
 //   --half-open-ms N        quarantine -> trial-restart delay (default 2000)
+//
+// Numbers are whole decimals (--seed also takes 0x-hex) and [HOST:]PORT
+// is checked up front; a malformed value exits 2.
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -57,6 +59,8 @@
 #include "service/router.h"
 #include "service/server.h"
 #include "service/supervisor.h"
+#include "util/check.h"
+#include "util/descriptor.h"
 
 namespace {
 
@@ -97,88 +101,91 @@ int main(int argc, char** argv) {
   supervisor_options.backends = 0;  // --spawn N turns supervision on
   supervisor_options.work_dir = "/tmp/shlcp_fleet";
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s needs a value\n", argv[0], arg.c_str());
-        std::exit(2);
+  const shlcp::DescriptorParser strict{"shlcp_router"};
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      const auto next = [&]() -> const char* {
+        SHLCP_CHECK_MSG(i + 1 < argc, arg + " needs a value");
+        return argv[++i];
+      };
+      const auto hostport = [&]() -> std::string {
+        const std::string spec = next();
+        std::string host;
+        int port = 0;
+        SHLCP_CHECK_MSG(shlcp::svc::parse_hostport(spec, &host, &port),
+                        arg + " takes [HOST:]PORT, got '" + spec + "'");
+        return spec;
+      };
+      if (arg == "--backend") {
+        BackendSpec spec;
+        const std::string value = next();
+        SHLCP_CHECK_MSG(BackendSpec::parse(value, &spec),
+                        "malformed backend spec '" + value + "'");
+        router_options.backends.push_back(std::move(spec));
+      } else if (arg == "--socket") {
+        transports.unix_path = next();
+      } else if (arg == "--tcp") {
+        transports.tcp = hostport();
+      } else if (arg == "--http") {
+        transports.http = hostport();
+      } else if (arg == "--port-file") {
+        transports.port_file = next();
+      } else if (arg == "--vnodes") {
+        router_options.vnodes = strict.number(next());
+      } else if (arg == "--replicas") {
+        router_options.replica_attempts = strict.number(next());
+      } else if (arg == "--probe-interval-ms") {
+        router_options.probe_interval_ms = strict.number64(next());
+      } else if (arg == "--timeout-ms") {
+        router_options.client.timeout_ms = strict.number64(next());
+      } else if (arg == "--retries") {
+        router_options.client.retry.max_attempts = strict.number(next());
+      } else if (arg == "--backoff-ms") {
+        router_options.client.retry.base_backoff_ms = strict.number64(next());
+      } else if (arg == "--seed") {
+        router_options.client.retry.seed = strict.seed(next());
+      } else if (arg == "--threads") {
+        options.num_threads = strict.number(next());
+      } else if (arg == "--batch") {
+        options.batch_max = strict.number(next());
+        SHLCP_CHECK_MSG(options.batch_max > 0, "--batch must be positive");
+      } else if (arg == "--queue-max") {
+        options.queue_max = strict.number64(next());
+      } else if (arg == "--inflight-max") {
+        options.conn_inflight_max = strict.number64(next());
+      } else if (arg == "--max-frame-bytes") {
+        options.max_frame_bytes = strict.number64(next());
+      } else if (arg == "--spawn") {
+        supervisor_options.backends = strict.number(next());
+      } else if (arg == "--spawn-dir") {
+        supervisor_options.work_dir = next();
+      } else if (arg == "--shlcpd") {
+        supervisor_options.shlcpd_path = next();
+      } else if (arg == "--backend-threads") {
+        supervisor_options.backend_threads = strict.number(next());
+      } else if (arg == "--backend-cache-bytes") {
+        const char* value = next();
+        strict.number64(value);  // checked here, parsed by the backend
+        supervisor_options.backend_args.emplace_back("--cache-bytes");
+        supervisor_options.backend_args.emplace_back(value);
+      } else if (arg == "--restart-backoff-ms") {
+        supervisor_options.restart.base_backoff_ms = strict.number64(next());
+      } else if (arg == "--restart-backoff-max-ms") {
+        supervisor_options.restart.max_backoff_ms = strict.number64(next());
+      } else if (arg == "--breaker-failures") {
+        supervisor_options.breaker_failures = strict.number(next());
+      } else if (arg == "--breaker-window-ms") {
+        supervisor_options.breaker_window_ms = strict.number64(next());
+      } else if (arg == "--half-open-ms") {
+        supervisor_options.half_open_after_ms = strict.number64(next());
+      } else {
+        return usage(argv[0]);
       }
-      return argv[++i];
-    };
-    if (arg == "--backend") {
-      BackendSpec spec;
-      const char* value = next();
-      if (!BackendSpec::parse(value, &spec)) {
-        std::fprintf(stderr, "%s: malformed backend spec '%s'\n", argv[0],
-                     value);
-        return 2;
-      }
-      router_options.backends.push_back(std::move(spec));
-    } else if (arg == "--socket") {
-      transports.unix_path = next();
-    } else if (arg == "--tcp") {
-      transports.tcp = next();
-    } else if (arg == "--http") {
-      transports.http = next();
-    } else if (arg == "--port-file") {
-      transports.port_file = next();
-    } else if (arg == "--vnodes") {
-      router_options.vnodes = std::atoi(next());
-    } else if (arg == "--replicas") {
-      router_options.replica_attempts = std::atoi(next());
-    } else if (arg == "--probe-interval-ms") {
-      router_options.probe_interval_ms =
-          static_cast<std::uint64_t>(std::atoll(next()));
-    } else if (arg == "--timeout-ms") {
-      router_options.client.timeout_ms =
-          static_cast<std::uint64_t>(std::atoll(next()));
-    } else if (arg == "--retries") {
-      router_options.client.retry.max_attempts = std::atoi(next());
-    } else if (arg == "--backoff-ms") {
-      router_options.client.retry.base_backoff_ms =
-          static_cast<std::uint64_t>(std::atoll(next()));
-    } else if (arg == "--seed") {
-      router_options.client.retry.seed =
-          static_cast<std::uint64_t>(std::atoll(next()));
-    } else if (arg == "--threads") {
-      options.num_threads = std::atoi(next());
-    } else if (arg == "--batch") {
-      options.batch_max = std::atoi(next());
-    } else if (arg == "--queue-max") {
-      options.queue_max = static_cast<std::size_t>(std::atoll(next()));
-    } else if (arg == "--inflight-max") {
-      options.conn_inflight_max = static_cast<std::size_t>(std::atoll(next()));
-    } else if (arg == "--max-frame-bytes") {
-      options.max_frame_bytes = static_cast<std::size_t>(std::atoll(next()));
-    } else if (arg == "--spawn") {
-      supervisor_options.backends = std::atoi(next());
-    } else if (arg == "--spawn-dir") {
-      supervisor_options.work_dir = next();
-    } else if (arg == "--shlcpd") {
-      supervisor_options.shlcpd_path = next();
-    } else if (arg == "--backend-threads") {
-      supervisor_options.backend_threads = std::atoi(next());
-    } else if (arg == "--backend-cache-bytes") {
-      supervisor_options.backend_args.emplace_back("--cache-bytes");
-      supervisor_options.backend_args.emplace_back(next());
-    } else if (arg == "--restart-backoff-ms") {
-      supervisor_options.restart.base_backoff_ms =
-          static_cast<std::uint64_t>(std::atoll(next()));
-    } else if (arg == "--restart-backoff-max-ms") {
-      supervisor_options.restart.max_backoff_ms =
-          static_cast<std::uint64_t>(std::atoll(next()));
-    } else if (arg == "--breaker-failures") {
-      supervisor_options.breaker_failures = std::atoi(next());
-    } else if (arg == "--breaker-window-ms") {
-      supervisor_options.breaker_window_ms =
-          static_cast<std::uint64_t>(std::atoll(next()));
-    } else if (arg == "--half-open-ms") {
-      supervisor_options.half_open_after_ms =
-          static_cast<std::uint64_t>(std::atoll(next()));
-    } else {
-      return usage(argv[0]);
     }
+  } catch (const shlcp::CheckError& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    return usage(argv[0]);
   }
   const bool spawning = supervisor_options.backends > 0;
   if (spawning == !router_options.backends.empty()) {

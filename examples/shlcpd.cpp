@@ -31,13 +31,19 @@
 //   --cache-bytes N      artifact-cache byte budget (default 64 MiB)
 //   --cache-dir PATH     persist artifacts to PATH (default: off)
 //   --max-frame-bytes N  per-request frame / HTTP body cap (default 4 MiB)
+//
+// Every listener shares one serving loop and one worker pool (--threads
+// is the total, not per listener). All listeners are bound before any
+// is served: a bind failure exits 1 at once, without a port file.
+// Numbers are whole decimals and [HOST:]PORT is checked up front; a
+// malformed value exits 2.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "service/server.h"
+#include "util/check.h"
+#include "util/descriptor.h"
 
 namespace {
 
@@ -63,43 +69,54 @@ int main(int argc, char** argv) {
   ServerOptions options;
   options.arm_sigint = true;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s needs a value\n", argv[0], arg.c_str());
-        std::exit(2);
+  const shlcp::DescriptorParser strict{"shlcpd"};
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      const auto next = [&]() -> const char* {
+        SHLCP_CHECK_MSG(i + 1 < argc, arg + " needs a value");
+        return argv[++i];
+      };
+      const auto hostport = [&]() -> std::string {
+        const std::string spec = next();
+        std::string host;
+        int port = 0;
+        SHLCP_CHECK_MSG(shlcp::svc::parse_hostport(spec, &host, &port),
+                        arg + " takes [HOST:]PORT, got '" + spec + "'");
+        return spec;
+      };
+      if (arg == "--pipe") {
+        pipe_mode = true;
+      } else if (arg == "--socket") {
+        transports.unix_path = next();
+      } else if (arg == "--tcp") {
+        transports.tcp = hostport();
+      } else if (arg == "--http") {
+        transports.http = hostport();
+      } else if (arg == "--port-file") {
+        transports.port_file = next();
+      } else if (arg == "--threads") {
+        options.num_threads = strict.number(next());
+      } else if (arg == "--batch") {
+        options.batch_max = strict.number(next());
+        SHLCP_CHECK_MSG(options.batch_max > 0, "--batch must be positive");
+      } else if (arg == "--queue-max") {
+        options.queue_max = strict.number64(next());
+      } else if (arg == "--inflight-max") {
+        options.conn_inflight_max = strict.number64(next());
+      } else if (arg == "--cache-bytes") {
+        options.service.cache.max_bytes = strict.number64(next());
+      } else if (arg == "--cache-dir") {
+        options.service.cache.directory = next();
+      } else if (arg == "--max-frame-bytes") {
+        options.max_frame_bytes = strict.number64(next());
+      } else {
+        return usage(argv[0]);
       }
-      return argv[++i];
-    };
-    if (arg == "--pipe") {
-      pipe_mode = true;
-    } else if (arg == "--socket") {
-      transports.unix_path = next();
-    } else if (arg == "--tcp") {
-      transports.tcp = next();
-    } else if (arg == "--http") {
-      transports.http = next();
-    } else if (arg == "--port-file") {
-      transports.port_file = next();
-    } else if (arg == "--threads") {
-      options.num_threads = std::atoi(next());
-    } else if (arg == "--batch") {
-      options.batch_max = std::atoi(next());
-    } else if (arg == "--queue-max") {
-      options.queue_max = static_cast<std::size_t>(std::atoll(next()));
-    } else if (arg == "--inflight-max") {
-      options.conn_inflight_max = static_cast<std::size_t>(std::atoll(next()));
-    } else if (arg == "--cache-bytes") {
-      options.service.cache.max_bytes =
-          static_cast<std::size_t>(std::atoll(next()));
-    } else if (arg == "--cache-dir") {
-      options.service.cache.directory = next();
-    } else if (arg == "--max-frame-bytes") {
-      options.max_frame_bytes = static_cast<std::size_t>(std::atoll(next()));
-    } else {
-      return usage(argv[0]);
     }
+  } catch (const shlcp::CheckError& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    return usage(argv[0]);
   }
   const bool stream_mode = !transports.unix_path.empty() ||
                            !transports.tcp.empty() ||

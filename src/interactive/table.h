@@ -9,8 +9,9 @@
 //     next table operation (steps refresh the clock). The clock is
 //     injectable so tests and the bench drive expiry deterministically.
 //   - caps: a global cap and a per-owner cap (the owner is the
-//     transport connection slot; owner < 0 -- in-process callers --
-//     is exempt from the per-owner cap). A refused open feeds the
+//     transport connection's id, never reused by the serving loop;
+//     owner < 0 -- in-process callers -- is exempt from the per-owner
+//     cap). A refused open feeds the
 //     service's overload-shed path (wire error "overloaded" with a
 //     retry_after_ms hint).
 //   - exact accounting: every successful open ends in exactly one of

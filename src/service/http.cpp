@@ -406,18 +406,20 @@ HttpParser::Next HttpParser::next(HttpRequest* request, int* status,
   return Next::kRequest;
 }
 
+std::unique_ptr<ConnProtocol> make_http_protocol(std::size_t max_body_bytes) {
+  return std::make_unique<HttpProtocol>(max_body_bytes);
+}
+
 int serve_http(const std::string& host, int port,
                const ServerOptions& options) {
   int bound = 0;
-  StreamListener listener = listen_tcp(host, port, &bound);
-  if (listener.fd >= 0 && options.bound_port != nullptr) {
+  StreamEndpoints endpoints;
+  endpoints.listeners.push_back(
+      listen_tcp(host, port, make_http_protocol, &bound));
+  if (endpoints.listeners[0].fd >= 0 && options.bound_port != nullptr) {
     options.bound_port->store(bound, std::memory_order_release);
   }
-  return serve_stream(std::move(listener), options,
-                      [](std::size_t max_frame_bytes) {
-                        return std::make_unique<HttpProtocol>(
-                            max_frame_bytes);
-                      });
+  return serve_stream(std::move(endpoints), options);
 }
 
 }  // namespace shlcp::svc

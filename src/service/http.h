@@ -37,6 +37,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -87,6 +88,12 @@ class HttpParser {
   std::size_t body_needed_ = 0;
   bool failed_ = false;
 };
+
+class ConnProtocol;
+
+/// The gateway's per-connection protocol (a netloop.h ProtocolFactory):
+/// serve_transports puts it on the HTTP listener.
+std::unique_ptr<ConnProtocol> make_http_protocol(std::size_t max_body_bytes);
 
 /// Serves the gateway at host:port over the shared stream loop
 /// (netloop.h). Same contract as serve_tcp: numeric IPv4 host, port 0

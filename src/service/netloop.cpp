@@ -5,12 +5,13 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
+#include <deque>
 #include <optional>
+#include <utility>
 
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -19,6 +20,7 @@
 #include "util/check.h"
 #include "util/format.h"
 #include "util/metrics.h"
+#include "util/parallel.h"
 
 namespace shlcp::svc {
 
@@ -59,14 +61,34 @@ std::uint64_t now_ms() {
           .count());
 }
 
-}  // namespace
+/// One admitted request (or canned reply) awaiting dispatch.
+struct PendingRequest {
+  std::string body;           // request envelope (shlcp.svc.v1 JSON)
+  std::uint64_t admit_ms = 0; // admission stamp; queue delay charges
+                              // against deadline_ms
+  std::size_t slot = 0;       // owning connection's index in the loop's
+                              // table (stable while anything is queued)
+  std::int64_t conn = -1;     // owning connection's id: the `conn` the
+                              // dispatcher sees
+  std::uint64_t tag = 0;      // protocol-private cookie (HTTP: request
+                              // sequence + keep-alive bit)
+  bool raw = false;           // body is already wire bytes: skip the
+                              // dispatcher AND the encoder, write as-is
+};
 
+/// Backpressure hint for a shed frame: roughly how long the backlog
+/// ahead needs to dispatch, assuming ~10 ms per batch, capped so a
+/// wildly overloaded server never tells clients to sleep forever.
 std::int64_t retry_after_hint_ms(std::size_t depth, int batch_max) {
   const std::size_t batches =
       depth / static_cast<std::size_t>(std::max(batch_max, 1)) + 1;
   return static_cast<std::int64_t>(std::min<std::size_t>(batches * 10, 1000));
 }
 
+/// Builds the "overloaded" refusal body for a request that was never
+/// admitted. The envelope is parsed only to salvage the request id (the
+/// response must be matchable client-side); one too corrupt to parse is
+/// shed with a null id.
 std::string shed_body(const std::string& body, std::string_view what,
                       std::size_t depth, int batch_max) {
   Json id;
@@ -83,44 +105,9 @@ std::string shed_body(const std::string& body, std::string_view what,
       .dump();
 }
 
-std::string admit_request(std::deque<PendingRequest>& queue,
-                          PendingRequest&& request,
-                          std::size_t* conn_inflight,
-                          const Admission& admission) {
-  if (admission.queue_max > 0 && queue.size() >= admission.queue_max) {
-    if (admission.health != nullptr) {
-      admission.health->shed_total.fetch_add(1, std::memory_order_relaxed);
-    }
-    return shed_body(
-        request.body,
-        format("admission queue full (%zu queued); back off and retry",
-               queue.size()),
-        queue.size(), admission.batch_max);
-  }
-  if (admission.conn_inflight_max > 0 && conn_inflight != nullptr &&
-      *conn_inflight >= admission.conn_inflight_max) {
-    if (admission.health != nullptr) {
-      admission.health->shed_total.fetch_add(1, std::memory_order_relaxed);
-    }
-    return shed_body(
-        request.body,
-        format("connection in-flight cap (%zu) reached; await "
-               "responses before pipelining more",
-               admission.conn_inflight_max),
-        queue.size(), admission.batch_max);
-  }
-  queue.push_back(std::move(request));
-  if (conn_inflight != nullptr) {
-    ++*conn_inflight;
-  }
-  if (admission.health != nullptr) {
-    admission.health->admitted_total.fetch_add(1, std::memory_order_relaxed);
-    admission.health->queue_depth.store(queue.size(),
-                                        std::memory_order_relaxed);
-  }
-  return {};
-}
-
+/// Dispatches up to batch_max queued requests across the pool and
+/// returns the responses in queue order (paired with their Pending).
+/// `raw` requests pass through untouched (their body IS the response).
 std::vector<std::pair<PendingRequest, std::string>> dispatch_batch(
     Dispatcher& dispatcher, WorkerPool& pool,
     std::deque<PendingRequest>& queue, int batch_max, HealthState* health) {
@@ -172,9 +159,22 @@ std::vector<std::pair<PendingRequest, std::string>> dispatch_batch(
   return out;
 }
 
-StreamListener listen_unix(const std::string& path) {
-  SHLCP_CHECK_MSG(path.size() < sizeof(sockaddr_un{}.sun_path),
-                  "socket path too long");
+}  // namespace
+
+void StreamListener::close() {
+  if (fd >= 0) {
+    ::close(fd);
+    fd = -1;
+    if (unbind) {
+      unbind();
+    }
+  }
+}
+
+StreamListener listen_unix(const std::string& path, ProtocolFactory protocol) {
+  if (path.size() >= sizeof(sockaddr_un{}.sun_path)) {
+    return {};  // too long to bind: a bind failure like any other
+  }
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (fd < 0) {
     return {};
@@ -196,11 +196,11 @@ StreamListener listen_unix(const std::string& path) {
   // supervisor forks backends from a process running this loop).
   set_nonblocking(fd);
   set_cloexec(fd);
-  return {fd, [path] { ::unlink(path.c_str()); }};
+  return {fd, [path] { ::unlink(path.c_str()); }, std::move(protocol)};
 }
 
 StreamListener listen_tcp(const std::string& host, int port,
-                          int* bound_port) {
+                          ProtocolFactory protocol, int* bound_port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
     return {};
@@ -230,20 +230,26 @@ StreamListener listen_tcp(const std::string& host, int port,
   }
   set_nonblocking(fd);  // same blocked-accept hazard as listen_unix
   set_cloexec(fd);
-  return {fd, nullptr};
+  return {fd, nullptr, std::move(protocol)};
 }
 
-int serve_stream(StreamListener listener, const ServerOptions& options,
-                 const ProtocolFactory& make_protocol) {
+int serve_stream(StreamEndpoints endpoints, const ServerOptions& options) {
   ::signal(SIGPIPE, SIG_IGN);
-  if (listener.fd < 0) {
+  std::vector<StreamListener>& listeners = endpoints.listeners;
+  const auto close_listeners = [&] {
+    for (StreamListener& l : listeners) {
+      l.close();
+    }
+  };
+  if (std::any_of(listeners.begin(), listeners.end(),
+                  [](const StreamListener& l) { return l.fd < 0; })) {
+    close_listeners();  // all or nothing: never serve a partial set
     return 1;
   }
-  const int listen_fd = listener.fd;
 
-  // The dispatcher, health counters, and cancel token are injectable so
-  // several transport loops (serve_transports) can share one of each;
-  // standalone use owns all three.
+  // The dispatcher, health counters, and cancel token are injectable
+  // (a Router behind the loop, perfbench reading health, tests
+  // cancelling); standalone use owns all three.
   std::unique_ptr<Service> owned_service;
   Dispatcher* dispatcher = options.dispatcher;
   if (dispatcher == nullptr) {
@@ -255,8 +261,6 @@ int serve_stream(StreamListener listener, const ServerOptions& options,
       options.health != nullptr ? options.health : &owned_health;
   health->queue_max.store(options.queue_max, std::memory_order_relaxed);
   dispatcher->attach_health(health);
-  const Admission admission{options.queue_max, options.conn_inflight_max,
-                            options.batch_max, health};
   CancelToken local_token;
   CancelToken* cancel =
       options.cancel != nullptr ? options.cancel : &local_token;
@@ -267,56 +271,71 @@ int serve_stream(StreamListener listener, const ServerOptions& options,
   WorkerPool pool(resolve_num_threads(options.num_threads));
 
   struct Connection {
-    int fd = -1;
+    std::int64_t id;
+    int in_fd;
+    int out_fd;  // == in_fd except for the pipe; both -1 once closed
+    bool owned;  // accepted here: non-blocking, and ours to close
     std::unique_ptr<ConnProtocol> proto;
-    bool broken = false;   // framing lost: flush pending, then close
-    bool closing = false;  // protocol asked to end after responses out
+    bool reading = true;  // false after EOF, lost framing, or a
+                          // protocol-requested close: flush, then close
     std::size_t inflight = 0;    // admitted frames not yet answered
     std::size_t queued_raw = 0;  // canned replies still in the queue
-    std::string outbuf;        // responses the kernel has not accepted
+    std::string outbuf;        // responses the fd has not accepted
     std::size_t outpos = 0;    // consumed prefix of outbuf
 
-    Connection(int f, std::unique_ptr<ConnProtocol> p)
-        : fd(f), proto(std::move(p)) {}
+    Connection(std::int64_t i, int in, int out, bool own,
+               std::unique_ptr<ConnProtocol> p)
+        : id(i), in_fd(in), out_fd(out), owned(own), proto(std::move(p)) {}
 
     [[nodiscard]] std::size_t pending_out() const {
       return outbuf.size() - outpos;
     }
+    // Done with its work: close once everything owed is out.
+    [[nodiscard]] bool finished() const {
+      return !reading && inflight == 0 && queued_raw == 0 &&
+             pending_out() == 0;
+    }
   };
   std::vector<Connection> conns;
   std::deque<PendingRequest> queue;
-  bool accepting = true;
+  std::int64_t next_id = 0;  // connection ids are never reused
+  int exit_code = 0;
+  if (endpoints.pipe) {
+    conns.emplace_back(next_id++, options.in_fd, options.out_fd, false,
+                       endpoints.pipe(options.max_frame_bytes));
+  }
 
-  const auto stop_accepting = [&] {
-    if (accepting) {
-      accepting = false;
-      ::close(listen_fd);
-      if (listener.unbind) {
-        listener.unbind();
-      }
+  // `failed` = the connection died owing or reading something; on the
+  // pipe that is a transport failure of the whole server.
+  const auto close_conn = [&](Connection& c, bool failed) {
+    if (c.in_fd < 0) {
+      return;
     }
-  };
-
-  const auto close_conn = [&](Connection& c) {
-    if (c.fd >= 0) {
-      ::close(c.fd);
-      c.fd = -1;
+    if (c.owned) {
+      ::close(c.in_fd);
+    } else if (failed) {
+      exit_code = 1;
     }
+    c.in_fd = -1;
+    c.out_fd = -1;
     c.outbuf.clear();
     c.outpos = 0;
   };
 
-  // Writes as much of c.outbuf as the (non-blocking) socket accepts.
-  // Returns false if the connection died. A full socket buffer is not
-  // an error: the remainder stays queued and the poll loop watches
-  // POLLOUT -- one slow reader must never stall dispatch for the rest.
+  // Writes as much of c.outbuf as the fd accepts. Returns false if the
+  // connection died. A full socket buffer is not an error: the
+  // remainder stays queued and the poll loop watches POLLOUT -- one
+  // slow reader must never stall dispatch for the rest. (The pipe's
+  // fds stay blocking, so its writes complete or fail.)
   const auto flush_conn = [&](Connection& c) -> bool {
     while (c.outpos < c.outbuf.size()) {
+      const char* data = c.outbuf.data() + c.outpos;
+      const std::size_t len = c.outbuf.size() - c.outpos;
       // MSG_NOSIGNAL: a client that vanished mid-response must produce
       // EPIPE (slot reclaimed below), never a process-killing SIGPIPE
       // -- belt to the SIG_IGN suspenders above.
-      const ssize_t n = ::send(c.fd, c.outbuf.data() + c.outpos,
-                               c.outbuf.size() - c.outpos, MSG_NOSIGNAL);
+      const ssize_t n = c.owned ? ::send(c.out_fd, data, len, MSG_NOSIGNAL)
+                                : ::write(c.out_fd, data, len);
       if (n > 0) {
         c.outpos += static_cast<std::size_t>(n);
         continue;
@@ -327,7 +346,7 @@ int serve_stream(StreamListener listener, const ServerOptions& options,
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
         return true;
       }
-      close_conn(c);
+      close_conn(c, true);
       return false;
     }
     c.outbuf.clear();
@@ -336,178 +355,211 @@ int serve_stream(StreamListener listener, const ServerOptions& options,
   };
 
   const auto send_conn = [&](Connection& c, std::string_view bytes) {
-    if (c.fd < 0) {
+    if (c.in_fd < 0) {
       return;
     }
     c.outbuf.append(bytes.data(), bytes.size());
     if (flush_conn(c) && c.pending_out() > kMaxConnWriteBufferBytes) {
-      close_conn(c);  // reader has stalled; do not buffer unboundedly
+      close_conn(c, true);  // reader has stalled; do not buffer unboundedly
     }
   };
 
-  // A connection done with its work (framing lost, or the protocol
-  // requested close) goes away once everything owed is flushed.
-  const auto finished = [](const Connection& c) {
-    return (c.broken || c.closing) && c.inflight == 0 &&
-           c.queued_raw == 0 && c.pending_out() == 0;
+  // Canned replies and shed refusals ride the queue so they are written
+  // in request order relative to dispatched responses.
+  const auto queue_raw = [&](Connection& c, std::size_t slot,
+                             std::string bytes, std::uint64_t tag) {
+    queue.push_back(PendingRequest{std::move(bytes), now_ms(), slot, c.id,
+                                   tag, true});
+    ++c.queued_raw;
   };
 
-  while (true) {
+  // Admission: "" = admit, otherwise why the frame is shed.
+  const auto refusal = [&](const Connection& c) -> std::string {
+    if (options.queue_max > 0 && queue.size() >= options.queue_max) {
+      return format("admission queue full (%zu queued); back off and retry",
+                    queue.size());
+    }
+    if (options.conn_inflight_max > 0 &&
+        c.inflight >= options.conn_inflight_max) {
+      return format("connection in-flight cap (%zu) reached; await "
+                    "responses before pipelining more",
+                    options.conn_inflight_max);
+    }
+    return {};
+  };
+
+  const auto check_cancel = [&] {
     if (cancel->stop_requested() && !dispatcher->draining()) {
       dispatcher->begin_drain();
-      stop_accepting();
+      close_listeners();
     }
+  };
+
+  if (endpoints.on_ready) {
+    endpoints.on_ready();
+  }
+
+  std::vector<pollfd> pfds;
+  std::vector<std::size_t> owner_of_pfd;  // listener index, then conn slot
+  while (true) {
+    check_cancel();
     while (!queue.empty()) {
       for (auto& [req, response] : dispatch_batch(
                *dispatcher, pool, queue, options.batch_max, health)) {
-        if (req.conn >= 0 && req.conn < static_cast<int>(conns.size())) {
-          Connection& owner = conns[static_cast<std::size_t>(req.conn)];
-          if (req.raw) {
-            if (owner.queued_raw > 0) {
-              --owner.queued_raw;
-            }
-            if (owner.fd >= 0) {
-              send_conn(owner, req.body);
-            }
-            continue;
-          }
-          if (owner.inflight > 0) {
-            --owner.inflight;
-          }
-          if (owner.fd >= 0) {
-            bool close_after = false;
-            const std::string bytes =
-                owner.proto->encode_response(req.tag, response, &close_after);
-            send_conn(owner, bytes);
-            if (close_after) {
-              owner.closing = true;
-            }
+        Connection& owner = conns[req.slot];
+        if (req.raw) {
+          --owner.queued_raw;
+          send_conn(owner, req.body);
+          continue;
+        }
+        --owner.inflight;
+        if (owner.in_fd >= 0) {
+          bool close_after = false;
+          send_conn(owner, owner.proto->encode_response(req.tag, response,
+                                                        &close_after));
+          if (close_after) {
+            owner.reading = false;
           }
         }
       }
-      if (cancel->stop_requested() && !dispatcher->draining()) {
-        dispatcher->begin_drain();
-        stop_accepting();
-      }
+      check_cancel();
     }
     if (dispatcher->draining()) {
       break;  // queue flushed above; refuse everything else
     }
 
-    // The queue is empty here, so no PendingRequest.conn index is
-    // live: retire connections whose work is done, then reclaim the
-    // slots (and protocol buffers) of closed connections instead of
-    // scanning them forever.
+    // The queue is empty here, so no PendingRequest.slot is live:
+    // retire connections whose work is done, then reclaim the slots
+    // (and protocol buffers) of closed connections.
     for (Connection& c : conns) {
-      if (c.fd >= 0 && finished(c)) {
-        close_conn(c);
+      if (c.finished()) {
+        close_conn(c, false);
       }
     }
     conns.erase(std::remove_if(conns.begin(), conns.end(),
-                               [](const Connection& c) { return c.fd < 0; }),
+                               [](const Connection& c) { return c.in_fd < 0; }),
                 conns.end());
-
-    std::vector<pollfd> pfds;
-    std::vector<int> conn_of_pfd;  // -1 = the listener
-    if (accepting) {
-      pfds.push_back({listen_fd, POLLIN, 0});
-      conn_of_pfd.push_back(-1);
+    if (endpoints.pipe && conns.empty()) {
+      break;  // pipe mode ends with its one connection
     }
+
+    pfds.clear();
+    owner_of_pfd.clear();
+    for (std::size_t i = 0; i < listeners.size(); ++i) {
+      if (listeners[i].fd >= 0) {
+        pfds.push_back({listeners[i].fd, POLLIN, 0});
+        owner_of_pfd.push_back(i);
+      }
+    }
+    const std::size_t first_conn_pfd = pfds.size();
     for (std::size_t i = 0; i < conns.size(); ++i) {
-      if (conns[i].fd >= 0) {
-        // A broken or closing connection only lingers to flush what it
-        // is owed; it is never read again.
-        const short events = static_cast<short>(
-            ((conns[i].broken || conns[i].closing) ? 0 : POLLIN) |
-            (conns[i].pending_out() > 0 ? POLLOUT : 0));
-        pfds.push_back({conns[i].fd, events, 0});
-        conn_of_pfd.push_back(static_cast<int>(i));
+      // A connection that stopped reading only lingers to flush what
+      // it is owed.
+      const Connection& c = conns[i];
+      const short in = c.reading ? POLLIN : 0;
+      const short out = c.pending_out() > 0 ? POLLOUT : 0;
+      if (c.in_fd == c.out_fd) {
+        pfds.push_back({c.in_fd, static_cast<short>(in | out), 0});
+        owner_of_pfd.push_back(i);
+        continue;
+      }
+      if (in != 0) {
+        pfds.push_back({c.in_fd, in, 0});
+        owner_of_pfd.push_back(i);
+      }
+      if (out != 0) {
+        pfds.push_back({c.out_fd, out, 0});
+        owner_of_pfd.push_back(i);
       }
     }
     const int rc = ::poll(pfds.data(), pfds.size(), kPollTimeoutMs);
     if (rc < 0 && errno != EINTR) {
+      exit_code = 1;
       break;
     }
     if (rc <= 0) {
       continue;
     }
 
-    for (std::size_t pi = 0; pi < pfds.size(); ++pi) {
-      if (conn_of_pfd[pi] < 0) {
-        if ((pfds[pi].revents & POLLIN) != 0) {
-          // EAGAIN is normal here (nonblocking listener, advisory
-          // POLLIN); the connection will be re-reported if still queued.
-          const int client = ::accept(listen_fd, nullptr, nullptr);
-          if (client >= 0) {
-            set_nonblocking(client);
-            set_cloexec(client);
-            conns.emplace_back(client,
-                               make_protocol(options.max_frame_bytes));
-          }
+    for (std::size_t pi = 0; pi < first_conn_pfd; ++pi) {
+      if ((pfds[pi].revents & POLLIN) != 0) {
+        // EAGAIN is normal here (nonblocking listener, advisory
+        // POLLIN); the connection will be re-reported if still queued.
+        const StreamListener& l = listeners[owner_of_pfd[pi]];
+        const int client = ::accept(l.fd, nullptr, nullptr);
+        if (client >= 0) {
+          set_nonblocking(client);
+          set_cloexec(client);
+          conns.emplace_back(next_id++, client, client, true,
+                             l.protocol(options.max_frame_bytes));
+        }
+      }
+    }
+    for (std::size_t pi = first_conn_pfd; pi < pfds.size(); ++pi) {
+      const short revents = pfds[pi].revents;
+      const std::size_t slot = owner_of_pfd[pi];
+      Connection& c = conns[slot];
+      if (revents == 0 || c.in_fd < 0) {
+        continue;
+      }
+      if ((revents & (POLLERR | POLLNVAL)) != 0) {
+        close_conn(c, true);  // a dead fd must not busy-spin the poll loop
+        continue;
+      }
+      if ((revents & POLLOUT) != 0 && !flush_conn(c)) {
+        continue;
+      }
+      if (!c.reading) {
+        if ((revents & POLLHUP) != 0) {
+          close_conn(c, true);  // the peer left before taking its answers
         }
         continue;
       }
-      const int conn_index = conn_of_pfd[pi];
-      Connection& c = conns[static_cast<std::size_t>(conn_index)];
-      if ((pfds[pi].revents & (POLLERR | POLLNVAL)) != 0) {
-        close_conn(c);  // a dead fd must not busy-spin the poll loop
-        continue;
-      }
-      if ((pfds[pi].revents & POLLOUT) != 0 && !flush_conn(c)) {
-        continue;
-      }
-      if (c.broken || c.closing) {
-        // Close once everything owed is out (or the peer left).
-        if (finished(c) || (pfds[pi].revents & POLLHUP) != 0) {
-          close_conn(c);
-        }
-        continue;
-      }
-      if ((pfds[pi].revents & (POLLIN | POLLHUP)) == 0) {
+      if (pfds[pi].fd != c.in_fd || (revents & (POLLIN | POLLHUP)) == 0) {
         continue;
       }
       char buf[64 << 10];
-      const ssize_t n = ::read(c.fd, buf, sizeof buf);
-      if (n > 0) {
-        ConnProtocol::Output out;
-        c.proto->on_bytes(std::string_view(buf, static_cast<std::size_t>(n)),
-                          &out);
-        for (ConnProtocol::Inbound& in : out.requests) {
-          if (in.raw) {
-            // Canned protocol reply: ride the queue so it is written in
-            // request order relative to dispatched responses.
-            queue.push_back(PendingRequest{std::move(in.body), now_ms(),
-                                           conn_index, in.tag, true});
-            ++c.queued_raw;
-            continue;
-          }
-          PendingRequest pending{std::move(in.body), now_ms(), conn_index,
-                                 in.tag, false};
-          std::string refusal =
-              admit_request(queue, std::move(pending), &c.inflight,
-                            admission);
-          if (!refusal.empty()) {
-            bool close_after = false;
-            std::string wire =
-                c.proto->encode_shed(in, refusal, &close_after);
-            queue.push_back(PendingRequest{std::move(wire), now_ms(),
-                                           conn_index, in.tag, true});
-            ++c.queued_raw;
-            if (close_after) {
-              c.closing = true;
-            }
-          }
+      const ssize_t n = ::read(c.in_fd, buf, sizeof buf);
+      if (n == 0) {
+        c.reading = false;  // half-close: answer what was sent, then close
+        continue;
+      }
+      if (n < 0) {
+        if (errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK) {
+          close_conn(c, true);
         }
-        if (out.close) {
-          metrics::counter("service.errors").inc();
-          c.broken = true;
+        continue;
+      }
+      ConnProtocol::Output out;
+      c.proto->on_bytes(std::string_view(buf, static_cast<std::size_t>(n)),
+                        &out);
+      for (ConnProtocol::Inbound& in : out.requests) {
+        if (in.raw) {
+          queue_raw(c, slot, std::move(in.body), in.tag);
+          continue;
         }
-        if (finished(c)) {
-          close_conn(c);  // nothing queued or owed; otherwise flush first
+        const std::string why = refusal(c);
+        if (why.empty()) {
+          queue.push_back(PendingRequest{std::move(in.body), now_ms(), slot,
+                                         c.id, in.tag, false});
+          ++c.inflight;
+          health->admitted_total.fetch_add(1, std::memory_order_relaxed);
+          health->queue_depth.store(queue.size(), std::memory_order_relaxed);
+          continue;
         }
-      } else if (n == 0 || (errno != EINTR && errno != EAGAIN &&
-                            errno != EWOULDBLOCK)) {
-        close_conn(c);
+        health->shed_total.fetch_add(1, std::memory_order_relaxed);
+        bool close_after = false;
+        std::string wire = c.proto->encode_shed(
+            in, shed_body(in.body, why, queue.size(), options.batch_max),
+            &close_after);
+        queue_raw(c, slot, std::move(wire), in.tag);
+        if (close_after) {
+          c.reading = false;
+        }
+      }
+      if (out.close) {
+        metrics::counter("service.errors").inc();
+        c.reading = false;
       }
     }
   }
@@ -517,12 +569,12 @@ int serve_stream(StreamListener listener, const ServerOptions& options,
   // grace window before tearing the sockets down.
   const std::uint64_t flush_deadline = now_ms() + kDrainFlushMs;
   while (now_ms() < flush_deadline) {
-    std::vector<pollfd> pfds;
-    std::vector<std::size_t> conn_of_pfd;
+    pfds.clear();
+    owner_of_pfd.clear();
     for (std::size_t i = 0; i < conns.size(); ++i) {
-      if (conns[i].fd >= 0 && conns[i].pending_out() > 0) {
-        pfds.push_back({conns[i].fd, POLLOUT, 0});
-        conn_of_pfd.push_back(i);
+      if (conns[i].in_fd >= 0 && conns[i].pending_out() > 0) {
+        pfds.push_back({conns[i].out_fd, POLLOUT, 0});
+        owner_of_pfd.push_back(i);
       }
     }
     if (pfds.empty()) {
@@ -533,9 +585,9 @@ int serve_stream(StreamListener listener, const ServerOptions& options,
       break;
     }
     for (std::size_t pi = 0; pi < pfds.size(); ++pi) {
-      Connection& c = conns[conn_of_pfd[pi]];
+      Connection& c = conns[owner_of_pfd[pi]];
       if ((pfds[pi].revents & (POLLERR | POLLNVAL | POLLHUP)) != 0) {
-        close_conn(c);
+        close_conn(c, true);
       } else if ((pfds[pi].revents & POLLOUT) != 0) {
         flush_conn(c);
       }
@@ -543,10 +595,10 @@ int serve_stream(StreamListener listener, const ServerOptions& options,
   }
 
   for (Connection& c : conns) {
-    close_conn(c);
+    close_conn(c, false);
   }
-  stop_accepting();
-  return 0;
+  close_listeners();
+  return exit_code;
 }
 
 }  // namespace shlcp::svc

@@ -207,16 +207,19 @@ Json Router::handle(const Json& request, std::uint64_t elapsed_ms) {
                static_cast<unsigned long long>(req.deadline_ms)));
   }
   // Refuse a corrupted request here rather than shipping it across the
-  // fleet -- same contract as Service::handle.
+  // fleet -- same contract as Service::handle. The artifact key is
+  // derived once: it is the digest's preimage and the ring key.
+  std::string artifact;
   if (!req.check.empty()) {
-    const std::string key = artifact_key(req.op, req.params);
-    if (req.check != fnv1a_hex(key)) {
+    artifact = artifact_key(req.op, req.params);
+    const std::string digest = fnv1a_hex(artifact);
+    if (req.check != digest) {
       metrics::counter("router.errors").inc();
       return error_response(
           req.id, kErrIntegrity,
           format("request digest %s does not match the received payload "
                  "(%s); the frame was corrupted in transit -- retry",
-                 req.check.c_str(), fnv1a_hex(key).c_str()));
+                 req.check.c_str(), digest.c_str()));
     }
   }
   // Remaining deadline budget travels to the backend.
@@ -230,7 +233,7 @@ Json Router::handle(const Json& request, std::uint64_t elapsed_ms) {
   if (req.op == "health") {
     return aggregate_health(req);
   }
-  return route(req);
+  return route(req, routing_key(req.op, req.params, std::move(artifact)));
 }
 
 void Router::mark_down(Backend& b, const CallResult& r) {
@@ -281,39 +284,42 @@ bool Router::set_backend_alive(const std::string& name, bool alive) {
   return true;
 }
 
-bool Router::forward(Backend& b, const Request& req, CallResult* out) {
+bool Router::call_backend(Backend& b, const std::string& op,
+                          const Json& params, std::uint64_t deadline_ms,
+                          bool forwarding, CallResult* out) {
   std::unique_ptr<Client> client = b.borrow(options_.client);
-  *out = client->call(req.op, req.params, req.deadline_ms);
-  if (out->ok) {
+  *out = client->call(op, params, deadline_ms);
+  // A forwarded request's caller errors are final too: the backend
+  // answered, and the answer is "your request is wrong" (or "I am
+  // broken in a way a sibling will be too"). Rerouting cannot fix it
+  // -- it is returned verbatim. Session errors are authoritative as
+  // well: the ring sent us to the one backend that would hold this
+  // session, so a sibling can only say "not found" less honestly.
+  const bool answered =
+      out->ok ||
+      (forwarding &&
+       (out->error_code == kErrInvalidParams ||
+        out->error_code == kErrUnknownOp || out->error_code == kErrInternal ||
+        out->error_code == kErrSessionNotFound ||
+        out->error_code == kErrSessionState));
+  if (answered) {
     b.alive.store(true, std::memory_order_relaxed);
     b.give_back(std::move(client));
     return true;
   }
-  if (out->error_code == kErrInvalidParams ||
-      out->error_code == kErrUnknownOp || out->error_code == kErrInternal ||
-      out->error_code == kErrSessionNotFound ||
-      out->error_code == kErrSessionState) {
-    // The backend answered; the answer is "your request is wrong" (or
-    // "I am broken in a way a sibling will be too"). Rerouting cannot
-    // fix it -- return it verbatim. Session errors are authoritative
-    // too: the ring sent us to the one backend that would hold this
-    // session, so a sibling can only say "not found" less honestly.
-    b.alive.store(true, std::memory_order_relaxed);
-    b.give_back(std::move(client));
-    return true;
-  }
-  // Transport death ("" code), draining, or still overloaded / past
-  // deadline after the Client's own retry budget: mark the backend
-  // down and move to the next replica. The pooled client is dropped --
-  // its connection state is suspect.
-  if (out->error_code.empty() || out->error_code == kErrDraining) {
+  // The pooled client is dropped: its connection state is suspect. A
+  // forwarded request that is still overloaded / past deadline after
+  // the Client's own retry budget moves on to the next replica without
+  // condemning this backend; transport death ("" code) or draining --
+  // or any failure of a probe or fan-out -- marks it down.
+  if (!forwarding || out->error_code.empty() ||
+      out->error_code == kErrDraining) {
     mark_down(b, *out);
   }
   return false;
 }
 
-Json Router::route(const Request& req) {
-  const std::string key = routing_key(req.op, req.params);
+Json Router::route(const Request& req, const std::string& key) {
   const std::vector<int> pref = ring_.preference(HashRing::point_of(key));
   const int max_tries =
       std::max(1, std::min(options_.replica_attempts,
@@ -357,7 +363,8 @@ Json Router::route(const Request& req) {
     ++tried;
     Backend& b = *backends_[static_cast<std::size_t>(idx)];
     b.forwarded.fetch_add(1, std::memory_order_relaxed);
-    if (forward(b, req, &last)) {
+    if (call_backend(b, req.op, req.params, req.deadline_ms,
+                     /*forwarding=*/true, &last)) {
       b.answered.fetch_add(1, std::memory_order_relaxed);
       Json response = last.response;
       response["id"] = req.id;  // restore the caller's id; result bytes
@@ -388,15 +395,10 @@ Json Router::aggregate_info(const Request& req) {
     if (b.quarantined.load(std::memory_order_relaxed)) {
       continue;  // breaker open: never block an aggregation on it
     }
-    std::unique_ptr<Client> client = b.borrow(options_.client);
-    CallResult r = client->call(req.op, req.params, req.deadline_ms);
-    if (r.ok) {
-      b.alive.store(true, std::memory_order_relaxed);
-      b.give_back(std::move(client));
-      results.emplace_back(static_cast<int>(i),
-                           r.response.at("result"));
-    } else {
-      mark_down(b, r);
+    CallResult r;
+    if (call_backend(b, req.op, req.params, req.deadline_ms,
+                     /*forwarding=*/false, &r)) {
+      results.emplace_back(static_cast<int>(i), r.response.at("result"));
     }
   }
   if (results.empty()) {
@@ -475,16 +477,12 @@ Json Router::aggregate_health(const Request& req) {
       // never block on a quarantined backend either.
       entry["alive"] = false;
     } else {
-      std::unique_ptr<Client> client = b.borrow(options_.client);
-      CallResult r = client->call(req.op, req.params, req.deadline_ms);
-      if (r.ok) {
-        b.alive.store(true, std::memory_order_relaxed);
-        b.give_back(std::move(client));
-        entry["alive"] = true;
+      CallResult r;
+      const bool up = call_backend(b, req.op, req.params, req.deadline_ms,
+                                   /*forwarding=*/false, &r);
+      entry["alive"] = up;
+      if (up) {
         entry["health"] = r.response.at("result");
-      } else {
-        mark_down(b, r);
-        entry["alive"] = false;
       }
     }
     entry["quarantined"] = b.quarantined.load(std::memory_order_relaxed);
@@ -502,24 +500,15 @@ Json Router::aggregate_health(const Request& req) {
 }
 
 int Router::probe_all() {
-  Request probe;
-  probe.op = "health";
-  probe.params = Json::object();
   int alive = 0;
   for (const auto& backend : backends_) {
-    CallResult r;
-    Backend& b = *backend;
-    if (b.quarantined.load(std::memory_order_relaxed)) {
+    if (backend->quarantined.load(std::memory_order_relaxed)) {
       continue;  // the supervisor owns reprobing a quarantined backend
     }
-    std::unique_ptr<Client> client = b.borrow(options_.client);
-    r = client->call("health", Json::object());
-    if (r.ok) {
-      b.alive.store(true, std::memory_order_relaxed);
-      b.give_back(std::move(client));
+    CallResult r;
+    if (call_backend(*backend, "health", Json::object(), 0,
+                     /*forwarding=*/false, &r)) {
       ++alive;
-    } else {
-      mark_down(b, r);
     }
   }
   return alive;
@@ -547,7 +536,8 @@ std::vector<RouterBackendStats> Router::backend_stats() const {
   return out;
 }
 
-std::string Router::routing_key(const std::string& op, const Json& params) {
+std::string Router::routing_key(const std::string& op, const Json& params,
+                                std::string artifact) {
   const bool is_session_op = op == "session_open" || op == "session_step" ||
                              op == "session_close";
   if (is_session_op && params.is_object() && params.contains("session") &&
@@ -560,7 +550,7 @@ std::string Router::routing_key(const std::string& op, const Json& params) {
     // rejects it with invalid_params either way.
     return format("session\n%s", params.at("session").as_string().c_str());
   }
-  return artifact_key(op, params);
+  return artifact.empty() ? artifact_key(op, params) : artifact;
 }
 
 std::vector<int> Router::preference_for(const std::string& op,

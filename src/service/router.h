@@ -196,21 +196,30 @@ class Router : public Dispatcher {
   /// backend death the whole session fails over to the same successor
   /// (the session is lost, but the replies are coherent: the successor
   /// answers session_not_found rather than half the fleet guessing).
+  /// `artifact`, when non-empty, is artifact_key(op, params) already
+  /// derived by the caller.
   [[nodiscard]] static std::string routing_key(const std::string& op,
-                                               const Json& params);
+                                               const Json& params,
+                                               std::string artifact = {});
 
  private:
   struct Backend;
 
-  /// One forwarding attempt on backend b. Returns true when `out` is
-  /// the final answer (ok or verbatim error); false = move to the next
-  /// replica.
-  bool forward(Backend& b, const Request& req, CallResult* out);
+  /// The one way the router talks to a backend: borrow a pooled
+  /// Client, call, then settle b's state. Returns true when `out` is
+  /// b's own final answer -- ok, or (`forwarding`) a caller error to
+  /// pass through verbatim; b is then marked alive and the Client
+  /// pooled again. false = move to the next replica; b is marked down
+  /// on transport death or draining (any failure when not forwarding:
+  /// probes and fan-outs).
+  bool call_backend(Backend& b, const std::string& op, const Json& params,
+                    std::uint64_t deadline_ms, bool forwarding,
+                    CallResult* out);
   Backend* find_backend(const std::string& name);
   /// Marks b down and bumps its refused/timeout counter per the
   /// failure kind of `r`.
   static void mark_down(Backend& b, const CallResult& r);
-  Json route(const Request& req);
+  Json route(const Request& req, const std::string& key);
   Json aggregate_info(const Request& req);
   Json aggregate_health(const Request& req);
 

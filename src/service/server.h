@@ -1,20 +1,27 @@
-// Transport loops of shlcpd: pipe, unix-domain socket, and TCP.
+// Transport entry points of shlcpd and shlcp_router: pipe, unix-domain
+// socket, TCP, and HTTP.
 //
-// All loops share the same shape: accumulate bytes into FrameReaders,
-// extract complete request frames, batch up to ServerOptions::batch_max
-// of them, dispatch the batch across a WorkerPool (one request per
-// work unit -- the service's operations are internally sequential, so
-// the only parallelism is across requests), and write the responses
-// back in arrival order. Each request is stamped at admission; the
-// queueing delay is charged against its deadline_ms by Service::handle.
+// Every entry point is one call of serve_stream (netloop.h), the single
+// serving loop; they differ only in their endpoints. serve_pipe serves
+// (in_fd, out_fd) as one pre-connected JSONL connection; serve_socket
+// and serve_tcp put a JSONL listener on a unix path or a TCP port;
+// serve_http (http.h) puts the HTTP gateway on a TCP port; and
+// serve_transports binds any combination of the three listeners and
+// serves them all from one loop -- one dispatcher, one artifact cache,
+// one WorkerPool (ServerOptions::num_threads is the total, not a
+// per-listener count), one drain. The loop accumulates bytes into the
+// connection's protocol, admits complete requests, dispatches up to
+// ServerOptions::batch_max of them across the WorkerPool (one request
+// per work unit -- the service's operations are internally sequential,
+// so the only parallelism is across requests), and writes the
+// responses back in arrival order. Each request is stamped at
+// admission; the queueing delay is charged against its deadline_ms by
+// Service::handle.
 //
-// The socket and TCP loops are the same code: serve_stream (netloop.h)
-// with a JSONL ConnProtocol over a differently-bound listener. The
-// HTTP gateway (http.h) is that loop again with an HTTP protocol.
-// serve_transports runs any combination of them concurrently over one
-// shared dispatcher, health state, and cancel token -- which is how
-// shlcpd exposes --socket, --tcp, and --http at once with a single
-// artifact cache behind all three.
+// serve_transports binds every listener before serving: if any bind
+// fails it returns 1 at once, with every listener released and no port
+// file written. Otherwise the port file is published as soon as the
+// loop is armed, and removed again when it exits.
 //
 // Readiness is poll()-driven with a short timeout rather than blocking
 // reads, because the repo's SigintGuard installs its handler with
@@ -29,22 +36,25 @@
 // exercised with a real SIGINT in the CI service-smoke job.
 //
 // A FrameReader protocol error (malformed header, oversized frame) is
-// answered with one "bad_frame" error response and ends that stream --
-// framing is unrecoverable once the length prefix is lost. In pipe
-// mode that ends the server; in stream modes only that connection.
+// answered with one "bad_frame" error response and ends that
+// connection -- framing is unrecoverable once the length prefix is
+// lost. A read EOF is a half-close: the connection's remaining answers
+// are still written before it closes. The pipe is one connection, so
+// either ends pipe mode, once its answers are out.
 //
-// Stream-mode connections are non-blocking with per-connection write
+// Socket connections are non-blocking with per-connection write
 // buffers: a client that stops reading never stalls dispatch for the
 // others -- its responses queue (up to a 64 MiB cap, then the
 // connection is closed) and flush on POLLOUT. POLLERR/POLLNVAL close
 // the connection, closed slots are reclaimed between poll rounds, and
 // a drain flushes still-buffered responses for a bounded grace window
-// before teardown. Socket sends use MSG_NOSIGNAL (and all loops
-// ignore SIGPIPE) so a vanished client can never kill the daemon.
+// before teardown. Socket sends use MSG_NOSIGNAL (and the loop ignores
+// SIGPIPE) so a vanished client can never kill the daemon. The pipe's
+// fds belong to the caller: the loop leaves them blocking and open.
 //
 // Overload shedding (DESIGN.md §14): admission is bounded by
 // ServerOptions::queue_max globally and conn_inflight_max per
-// connection. A frame past either cap is answered immediately with the
+// connection. A frame past either cap is answered with the
 // "overloaded" error carrying a retry_after_ms hint scaled to the
 // backlog -- the client backs off, the queue never grows without
 // bound, and accepted requests keep their latency. Admission/shed
@@ -67,17 +77,16 @@ struct ServerOptions {
   /// Dispatcher configuration (LCP registry is fixed; cache is tunable).
   /// Ignored when `dispatcher` is set.
   ServiceConfig service;
-  /// The request handler behind this transport. Null (the default) =
-  /// the loop owns a Service built from `service`. Non-null (not
-  /// owned; must outlive the serve call) lets several transports share
-  /// one Service -- or put a Router behind them.
+  /// The request handler behind the loop. Null (the default) = the
+  /// loop owns a Service built from `service`. Non-null (not owned;
+  /// must outlive the serve call) lets callers share one Service -- or
+  /// put a Router behind the loop.
   Dispatcher* dispatcher = nullptr;
-  /// Load counters shared across transports (not owned). Null = the
-  /// loop owns one. serve_transports injects one instance into every
-  /// loop so the `health` op aggregates all listeners.
+  /// Load counters the `health` op reports (not owned; lets a caller
+  /// read them while the loop runs). Null = the loop owns one.
   HealthState* health = nullptr;
-  /// Worker threads for batch dispatch; 0 resolves via SHLCP_NUM_THREADS
-  /// then the hardware (util/parallel.h).
+  /// Worker threads for batch dispatch, shared by every listener; 0
+  /// resolves via SHLCP_NUM_THREADS then the hardware (util/parallel.h).
   int num_threads = 0;
   /// Max requests dispatched as one batch.
   int batch_max = 32;
@@ -88,16 +97,18 @@ struct ServerOptions {
   std::size_t queue_max = 512;
   /// Per-connection cap on admitted-but-unanswered requests, so one
   /// pipelining-happy client cannot monopolize the admission queue
-  /// (pipe mode counts the pipe as one connection). 0 = unbounded.
+  /// (the pipe counts as one connection). 0 = unbounded.
   std::size_t conn_inflight_max = 128;
   /// Per-frame byte cap (FrameReader); HTTP body cap in the gateway.
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// Pipe mode endpoints (tests inject socketpair/pipe fds here).
+  /// Pipe mode endpoints (tests inject socketpair/pipe fds here). The
+  /// loop neither makes them non-blocking nor closes them.
   int in_fd = 0;
   int out_fd = 1;
   /// TCP/HTTP: receives the actually-bound port once listening (the
   /// caller passed port 0 for an ephemeral one). Not owned; written
   /// once, from the serving thread, before the first accept.
+  /// serve_transports reports its ports in the port file instead.
   std::atomic<int>* bound_port = nullptr;
   /// External stop flag (not owned; must outlive the serve call). When
   /// null the server uses an internal token, reachable only via SIGINT.
@@ -106,9 +117,10 @@ struct ServerOptions {
   bool arm_sigint = false;
 };
 
-/// Serves length-prefixed JSONL over (in_fd, out_fd) until EOF, a
-/// protocol error, or a drain. Returns a process exit code (0 = clean,
-/// including clean drains; 1 = transport failure).
+/// Serves length-prefixed JSONL over (in_fd, out_fd) until EOF or a
+/// protocol error (once every answer is written), or a drain. Returns
+/// a process exit code (0 = clean, including clean drains; 1 =
+/// transport failure).
 int serve_pipe(const ServerOptions& options);
 
 /// Serves over a unix-domain stream socket bound at `path` (an existing
@@ -132,10 +144,11 @@ struct TransportSpec {
   std::string tcp;
   std::string http;
   /// When set, a JSON document {"unix": path?, "tcp": port?, "http":
-  /// port?} is written here once every requested listener is bound --
-  /// how scripts, bench_fleet, and the supervisor discover ephemeral
-  /// ports. Removed again on graceful exit, so the file's existence is
-  /// a truthful readiness signal (a stale file always means a crash).
+  /// port?} is written here once every requested listener is bound and
+  /// the loop is armed -- how scripts, bench_fleet, and the supervisor
+  /// discover ephemeral ports. Never written when a bind fails; removed
+  /// again on graceful exit, so the file's existence is a truthful
+  /// readiness signal (a stale file always means a crash).
   std::string port_file;
 };
 
@@ -143,11 +156,13 @@ struct TransportSpec {
 /// a malformed spec.
 bool parse_hostport(const std::string& spec, std::string* host, int* port);
 
-/// Runs every requested listener concurrently over ONE dispatcher, one
-/// HealthState, and one cancel token (shared cache, shared drain: a
-/// SIGINT drains all transports together). Blocks until all loops
-/// exit; returns the worst exit code. At least one transport must be
-/// enabled.
+/// Binds every requested listener, then serves them all from one loop
+/// over ONE dispatcher, one HealthState, one WorkerPool, and one cancel
+/// token (shared cache, shared drain: a SIGINT drains all transports
+/// together). Returns 1 at once -- no port file, no listener left --
+/// when a spec is malformed or any bind fails; otherwise blocks until
+/// the loop exits and returns its exit code. At least one transport
+/// must be enabled.
 int serve_transports(const TransportSpec& spec, const ServerOptions& options);
 
 }  // namespace shlcp::svc

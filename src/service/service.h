@@ -149,11 +149,12 @@ class Dispatcher {
   virtual std::string handle_text(const std::string& body,
                                   std::uint64_t elapsed_ms) = 0;
 
-  /// Connection-aware variant: `conn` is the transport connection slot
-  /// the frame arrived on (-1 = none / in-process). The server's batch
-  /// dispatch calls this one; stateful dispatchers (Service, for
-  /// per-connection session caps) override it, everything else falls
-  /// through to the 2-arg overload.
+  /// Connection-aware variant: `conn` is the id of the transport
+  /// connection the frame arrived on, never reused within one serving
+  /// loop (-1 = none / in-process). The server's batch dispatch calls
+  /// this one; stateful dispatchers (Service, for per-connection
+  /// session caps) override it, everything else falls through to the
+  /// 2-arg overload.
   virtual std::string handle_text(const std::string& body,
                                   std::uint64_t elapsed_ms,
                                   std::int64_t conn) {

@@ -33,18 +33,40 @@ std::string DescriptorParser::value(const std::string& field,
   return field.substr(prefix.size());
 }
 
-int DescriptorParser::number(std::string_view text, int max) const {
+namespace {
+
+/// Decimal digits only, no sign or trailing bytes, no 64-bit overflow.
+bool parse_whole(std::string_view text, std::uint64_t* out) {
   std::uint64_t v = 0;
   bool ok = !text.empty();
   for (const char c : text) {
-    ok = ok && c >= '0' && c <= '9';
-    v = ok ? v * 10 + static_cast<std::uint64_t>(c - '0') : v;
-    ok = ok && v <= static_cast<std::uint64_t>(max);
+    const auto d = static_cast<std::uint64_t>(c - '0');
+    ok = ok && c >= '0' && c <= '9' &&
+         v <= (std::numeric_limits<std::uint64_t>::max() - d) / 10;
+    v = ok ? v * 10 + d : v;
   }
+  *out = v;
+  return ok;
+}
+
+}  // namespace
+
+int DescriptorParser::number(std::string_view text, int max) const {
+  std::uint64_t v = 0;
+  const bool ok =
+      parse_whole(text, &v) && v <= static_cast<std::uint64_t>(max);
   SHLCP_CHECK_MSG(ok, format("%s descriptor: '%s' is not a whole number in "
                              "[0, %d]",
                              what, std::string(text).c_str(), max));
   return static_cast<int>(v);
+}
+
+std::uint64_t DescriptorParser::number64(std::string_view text) const {
+  std::uint64_t v = 0;
+  SHLCP_CHECK_MSG(parse_whole(text, &v),
+                  format("%s descriptor: '%s' is not a whole 64-bit number",
+                         what, std::string(text).c_str()));
+  return v;
 }
 
 std::uint64_t DescriptorParser::seed(std::string_view text) const {

@@ -41,6 +41,10 @@ struct DescriptorParser {
   int number(std::string_view text,
              int max = std::numeric_limits<int>::max()) const;
 
+  /// A whole decimal number in the full 64-bit range (byte budgets,
+  /// millisecond spans).
+  std::uint64_t number64(std::string_view text) const;
+
   /// A 64-bit seed: "0x" + 1..16 hex digits, or a decimal number.
   std::uint64_t seed(std::string_view text) const;
 };

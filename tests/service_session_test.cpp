@@ -8,7 +8,9 @@
 //   * duplicate opens -> session_state, unknown ids -> session_not_found,
 //     wrong-state messages -> session_state with the session unharmed;
 //   * both caps refuse with "overloaded" + retry_after_ms (the shed
-//     path), the per-connection cap keyed by the transport conn slot;
+//     path), the per-connection cap keyed by the transport connection
+//     id, which is never reused (a closed connection's sessions are
+//     never charged to a later one);
 //   * TTL expiry via the injected clock, counted expired;
 //   * info enumerates interactive protocols + limits, health carries
 //     session occupancy, and opened == completed + expired + aborted +
@@ -16,8 +18,12 @@
 //   * session ops are never cached, and the router keys all three ops
 //     of one session to the same ring point (affinity).
 
+#include <unistd.h>
+
 #include <cstdint>
+#include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -28,6 +34,7 @@
 #include "service/cache.h"
 #include "service/loadgen.h"
 #include "service/router.h"
+#include "service/server.h"
 #include "service/service.h"
 
 namespace shlcp::svc {
@@ -178,6 +185,48 @@ TEST(SessionOps, CapsRefuseWithRetryHint) {
   const ia::SessionCounters c = service.session_counters();
   EXPECT_EQ(c.refused, 2u);
   EXPECT_EQ(c.live, 3u);
+}
+
+// The cap belongs to the connection, not to the loop's table slot it
+// happened to occupy: after client A opens a session and leaves, a new
+// client B holding no session may open one under per_conn_max = 1.
+TEST(SessionOps, PerConnectionCapFollowsTheConnectionNotTheSlot) {
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "shlcp_cap.sock")
+          .string();
+  CancelToken token;
+  ServerOptions options;
+  options.cancel = &token;
+  options.num_threads = 1;
+  options.service.sessions.per_conn_max = 1;
+  int exit_code = -1;
+  std::thread server([&] { exit_code = serve_socket(path, options); });
+
+  ClientOptions client_options;
+  client_options.retry.max_attempts = 1;  // a refusal must surface as-is
+  const auto open_session = [&](const std::string& id) {
+    // Retries cover only the window before the server has bound.
+    CallResult r;
+    for (int attempt = 0; attempt < 250; ++attempt) {
+      Client client(Client::unix_connector(path, ChaosPlan{}),
+                    client_options);
+      r = client.call("session_open", open_params(id, "cycle6", 2));
+      if (r.fail_kind != CallResult::FailKind::kConnRefused) {
+        break;
+      }
+      ::usleep(20'000);
+    }
+    return r;  // the Client's connection closes here
+  };
+  const CallResult a = open_session("s-conn-a");
+  ASSERT_TRUE(a.ok) << a.error_code << ": " << a.error_detail;
+  ::usleep(300'000);  // let the loop see A leave and reclaim its slot
+  const CallResult b = open_session("s-conn-b");
+  EXPECT_TRUE(b.ok) << b.error_code << ": " << b.error_detail;
+
+  token.request_stop(StopReason::kCancelRequested);
+  server.join();
+  EXPECT_EQ(exit_code, 0);
 }
 
 TEST(SessionOps, TtlExpiryThroughTheInjectedClock) {

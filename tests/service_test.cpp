@@ -10,7 +10,11 @@
 //   * LRU eviction, on-disk persistence, and corrupt-entry tolerance of
 //     the artifact cache;
 //   * the pipe server's request/response framing and its drain
-//     behavior: after a cancel trip, no request is ever answered ok.
+//     behavior: after a cancel trip, no request is ever answered ok;
+//   * a read EOF is a half-close: pipe and socket clients that send a
+//     burst and then EOF get every answer;
+//   * serve_transports binds before it publishes: a busy port fails
+//     the daemon at once, with no port file and no listener left.
 
 #include <fcntl.h>
 #include <poll.h>
@@ -18,6 +22,12 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -793,6 +803,82 @@ TEST(PipeServer, ShedsPastConnectionInflightCap) {
   EXPECT_EQ(exit_code, 0);
 }
 
+/// The ids of `count` frames read from fd, each checked to be an ok
+/// answer. Stops early at EOF or a 10 s silence.
+std::vector<std::int64_t> read_answer_ids(int fd, std::int64_t count) {
+  FrameReader reader;
+  std::vector<std::int64_t> ids;
+  for (std::int64_t i = 0; i < count; ++i) {
+    const std::optional<std::string> body = read_frame(fd, reader);
+    if (!body.has_value()) {
+      break;
+    }
+    const Json resp = Json::parse(*body);
+    EXPECT_TRUE(resp.at("ok").as_bool()) << resp.dump();
+    ids.push_back(resp.at("id").as_int());
+  }
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+/// `count` pipelined info requests with ids 1..count.
+std::string info_burst(std::int64_t count) {
+  std::string burst;
+  for (std::int64_t id = 1; id <= count; ++id) {
+    burst += encode_frame(make_request(id, "info", Json::object()).dump());
+  }
+  return burst;
+}
+
+std::vector<std::int64_t> one_to(std::int64_t count) {
+  std::vector<std::int64_t> ids;
+  for (std::int64_t id = 1; id <= count; ++id) {
+    ids.push_back(id);
+  }
+  return ids;
+}
+
+bool write_fully(int fd, std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::write(fd, bytes.data(), bytes.size());
+    if (n <= 0) {
+      return false;
+    }
+    bytes.remove_prefix(static_cast<std::size_t>(n));
+  }
+  return true;
+}
+
+TEST(PipeServer, BurstThenEofAnswersEveryRequest) {
+  constexpr std::int64_t kRequests = 500;
+  Pipe to_server;
+  Pipe from_server;
+  CancelToken token;
+  ServerOptions options;
+  options.in_fd = to_server.read_fd;
+  options.out_fd = from_server.write_fd;
+  options.cancel = &token;
+  options.num_threads = 2;
+  options.queue_max = 0;  // every request admitted: all answers ok
+  options.conn_inflight_max = 0;
+
+  int exit_code = -1;
+  std::thread server([&] { exit_code = serve_pipe(options); });
+  // Answers are collected concurrently: the server's blocking writes
+  // stall once the pipe buffer is full.
+  std::vector<std::int64_t> ids;
+  std::thread reader(
+      [&] { ids = read_answer_ids(from_server.read_fd, kRequests); });
+
+  ASSERT_TRUE(write_fully(to_server.write_fd, info_burst(kRequests)));
+  ::close(to_server.write_fd);  // EOF straight after the burst
+  to_server.write_fd = -1;
+  server.join();
+  reader.join();
+  EXPECT_EQ(exit_code, 0);
+  EXPECT_EQ(ids, one_to(kRequests));
+}
+
 // ---------------------------------------------------------------------
 // Socket server end to end.
 
@@ -895,6 +981,141 @@ TEST(TransportServer, PortFileIsPublishedWhileServingAndRemovedOnDrain) {
   EXPECT_FALSE(fs::exists(port_file))  // the satellite assertion
       << "graceful exit must remove the port file";
   EXPECT_FALSE(fs::exists(sock));
+}
+
+/// Connects to the unix socket at `path`, retrying while the server
+/// binds. Returns -1 if it never comes up.
+int connect_unix(const std::string& path) {
+  sockaddr_un addr = {};
+  addr.sun_family = AF_UNIX;
+  std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s", path.c_str());
+  for (int attempt = 0; attempt < 250; ++attempt) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd >= 0 && ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                             sizeof(addr)) == 0) {
+      return fd;
+    }
+    if (fd >= 0) {
+      ::close(fd);
+    }
+    ::usleep(20'000);
+  }
+  return -1;
+}
+
+// A client that pipelines a burst and then shuts down its write side
+// still gets every answer: EOF stops the reading, not the writing. The
+// answers (~3000 info results) far exceed the socket buffer, so most of
+// them are still queued in the server when the EOF arrives.
+TEST(SocketServer, HalfClosedClientGetsEveryAnswer) {
+  constexpr std::int64_t kRequests = 3000;
+  const std::string path =
+      (fs::path(::testing::TempDir()) / "shlcp_halfclose.sock").string();
+  CancelToken token;
+  ServerOptions options;
+  options.cancel = &token;
+  options.num_threads = 2;
+  options.queue_max = 0;  // every request admitted: all answers ok
+  options.conn_inflight_max = 0;
+  int exit_code = -1;
+  std::thread server([&] { exit_code = serve_socket(path, options); });
+
+  const int fd = connect_unix(path);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(write_fully(fd, info_burst(kRequests)));
+  ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+  ::usleep(200'000);  // a slow reader: the EOF lands long before the
+                      // answers can all be written
+  EXPECT_EQ(read_answer_ids(fd, kRequests), one_to(kRequests));
+  // Every answer out, the server closes its side too.
+  char byte = 0;
+  EXPECT_EQ(::read(fd, &byte, 1), 0);
+  ::close(fd);
+
+  token.request_stop(StopReason::kCancelRequested);
+  server.join();
+  EXPECT_EQ(exit_code, 0);
+}
+
+// serve_transports binds every listener before it serves or publishes
+// anything: a TCP port that is already taken fails the whole daemon at
+// once (exit 1), alone or next to a unix listener, and so does a unix
+// path too long to bind; no port file and no unix socket is left.
+TEST(TransportServer, BindFailureExitsAtOnceWithoutPortFile) {
+  const int holder = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(holder, 0);
+  sockaddr_in addr = {};
+  addr.sin_family = AF_INET;
+  addr.sin_port = 0;
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::bind(holder, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(holder, 4), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(holder, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+  const std::string busy_tcp =
+      "127.0.0.1:" + std::to_string(ntohs(addr.sin_port));
+  const std::string sock =
+      (fs::path(::testing::TempDir()) / "shlcp_busy.sock").string();
+  const std::string port_file =
+      (fs::path(::testing::TempDir()) / "shlcp_busy.ports.json").string();
+
+  struct Case {
+    const char* label;
+    std::string tcp;
+    std::string unix_path;
+  };
+  for (const Case& c :
+       {Case{"tcp alone", busy_tcp, ""}, Case{"tcp + unix", busy_tcp, sock},
+        Case{"unix path too long", "",
+             sock + std::string(sizeof(sockaddr_un{}.sun_path), 'x')}}) {
+    SCOPED_TRACE(c.label);
+    fs::remove(port_file);
+    fs::remove(sock);
+
+    CancelToken token;
+    ServerOptions options;
+    options.cancel = &token;
+    options.num_threads = 1;
+    TransportSpec spec;
+    spec.tcp = c.tcp;
+    spec.unix_path = c.unix_path;
+    spec.port_file = port_file;
+
+    std::atomic<bool> done{false};
+    std::atomic<bool> published{false};
+    std::thread watcher([&] {
+      while (!done.load()) {
+        if (fs::exists(port_file)) {
+          published.store(true);
+        }
+        ::usleep(1'000);
+      }
+    });
+    const auto start = std::chrono::steady_clock::now();
+    int exit_code = -1;
+    std::thread server([&] {
+      exit_code = serve_transports(spec, options);
+      done.store(true);
+    });
+    for (int i = 0; i < 200 && !done.load(); ++i) {
+      ::usleep(10'000);
+    }
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    token.request_stop(StopReason::kCancelRequested);  // if still serving
+    server.join();
+    watcher.join();
+    EXPECT_EQ(exit_code, 1);
+    EXPECT_LT(seconds, 2.0);
+    EXPECT_FALSE(published.load()) << "port file published for a failed bind";
+    EXPECT_FALSE(fs::exists(port_file));
+    EXPECT_FALSE(fs::exists(sock)) << "unix listener left behind";
+  }
+  ::close(holder);
 }
 
 }  // namespace
