@@ -16,8 +16,8 @@
 //     --reset           discard any existing checkpoint first
 //
 // Exit codes: 0 = sweep complete, 3 = interrupted (checkpoint written,
-// run again to resume), 1 = usage or internal error. CI's
-// checkpoint-smoke job drives exactly this loop (.github/workflows).
+// run again to resume), 1 = usage or internal error. The e2e_resume
+// ctest drives exactly this loop (tests/e2e/resume.sh).
 
 #include <cstdio>
 #include <cstdlib>

@@ -25,8 +25,8 @@
 // fixed generator table at index derived from (seed, i), so two runs
 // are comparable. --repeat-keys K folds the stream onto K distinct
 // request payloads, which makes the expected warm cache hit-rate
-// (K < requests) a controlled quantity -- the CI smoke jobs assert
-// hit-rate this way.
+// (K < requests) a controlled quantity -- the loadgen_closed_loop and
+// e2e_fleet ctests assert hit-rate this way.
 //
 // Options:
 //   --requests N         total requests (default 200)

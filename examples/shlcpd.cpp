@@ -128,16 +128,5 @@ int main(int argc, char** argv) {
   if (pipe_mode) {
     return shlcp::svc::serve_pipe(options);
   }
-  if (!transports.unix_path.empty()) {
-    std::fprintf(stderr, "shlcpd: serving unix %s\n",
-                 transports.unix_path.c_str());
-  }
-  if (!transports.tcp.empty()) {
-    std::fprintf(stderr, "shlcpd: serving tcp %s\n", transports.tcp.c_str());
-  }
-  if (!transports.http.empty()) {
-    std::fprintf(stderr, "shlcpd: serving http %s\n",
-                 transports.http.c_str());
-  }
   return shlcp::svc::serve_transports(transports, options);
 }

@@ -82,9 +82,9 @@ struct ChaosPlan {
   /// Inverse of describe(). Throws CheckError on malformed input.
   static ChaosPlan parse(const std::string& descriptor);
 
-  /// The standard chaos family for the bench and the CI smoke job:
-  /// calm, chop-light/heavy, corrupt-light/heavy, reset, delay, and a
-  /// mixed plan -- all derived deterministically from `seed`.
+  /// The standard chaos family: calm, chop-light/heavy,
+  /// corrupt-light/heavy, reset, delay, and a mixed plan -- all
+  /// derived deterministically from `seed`.
   static std::vector<ChaosPlan> standard_family(std::uint64_t seed);
 
   friend bool operator==(const ChaosPlan&, const ChaosPlan&) = default;

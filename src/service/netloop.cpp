@@ -10,7 +10,6 @@
 #include <utility>
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -40,18 +39,20 @@ constexpr std::size_t kMaxConnWriteBufferBytes = 64u << 20;
 /// readers before the sockets are torn down.
 constexpr std::uint64_t kDrainFlushMs = 2000;
 
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) {
-    ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  }
-}
+/// Every socket the loop opens or accepts is born with these flags.
+/// Nonblocking: poll's readability hint on a listener is advisory -- a
+/// queued connection can be gone again by the time accept runs, and a
+/// blocking accept would then pin the loop past every cancel check.
+/// CLOEXEC, set atomically: the supervisor fork/execs backends from
+/// another thread of a process running this loop, and a flag set by a
+/// later fcntl would leave a window in which a child inherits the fd.
+constexpr int kSockFlags = SOCK_NONBLOCK | SOCK_CLOEXEC;
 
-void set_cloexec(int fd) {
-  const int flags = ::fcntl(fd, F_GETFD, 0);
-  if (flags >= 0) {
-    ::fcntl(fd, F_SETFD, flags | FD_CLOEXEC);
-  }
+/// Closes fd without clobbering the errno of the failure being reported.
+void close_keep_errno(int fd) {
+  const int saved = errno;
+  ::close(fd);
+  errno = saved;
 }
 
 std::uint64_t now_ms() {
@@ -173,9 +174,10 @@ void StreamListener::close() {
 
 StreamListener listen_unix(const std::string& path, ProtocolFactory protocol) {
   if (path.size() >= sizeof(sockaddr_un{}.sun_path)) {
-    return {};  // too long to bind: a bind failure like any other
+    errno = ENAMETOOLONG;  // too long to bind: a bind failure like any other
+    return {};
   }
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM | kSockFlags, 0);
   if (fd < 0) {
     return {};
   }
@@ -186,38 +188,31 @@ StreamListener listen_unix(const std::string& path, ProtocolFactory protocol) {
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
           0 ||
       ::listen(fd, 64) != 0) {
-    ::close(fd);
+    close_keep_errno(fd);
     return {};
   }
-  // Nonblocking: poll's readability hint on a listener is advisory --
-  // a queued connection can be gone again by the time accept runs, and
-  // a blocking accept would then pin the loop past every cancel check.
-  // CLOEXEC: listener fds must not leak into exec'd children (the
-  // supervisor forks backends from a process running this loop).
-  set_nonblocking(fd);
-  set_cloexec(fd);
   return {fd, [path] { ::unlink(path.c_str()); }, std::move(protocol)};
 }
 
 StreamListener listen_tcp(const std::string& host, int port,
                           ProtocolFactory protocol, int* bound_port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr = {};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+    errno = EINVAL;
+    return {};
+  }
+  const int fd = ::socket(AF_INET, SOCK_STREAM | kSockFlags, 0);
   if (fd < 0) {
     return {};
   }
   const int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr = {};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return {};
-  }
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
           0 ||
       ::listen(fd, 64) != 0) {
-    ::close(fd);
+    close_keep_errno(fd);
     return {};
   }
   if (bound_port != nullptr) {
@@ -228,8 +223,6 @@ StreamListener listen_tcp(const std::string& host, int port,
                       ? static_cast<int>(ntohs(bound.sin_port))
                       : port;
   }
-  set_nonblocking(fd);  // same blocked-accept hazard as listen_unix
-  set_cloexec(fd);
   return {fd, nullptr, std::move(protocol)};
 }
 
@@ -486,10 +479,8 @@ int serve_stream(StreamEndpoints endpoints, const ServerOptions& options) {
         // EAGAIN is normal here (nonblocking listener, advisory
         // POLLIN); the connection will be re-reported if still queued.
         const StreamListener& l = listeners[owner_of_pfd[pi]];
-        const int client = ::accept(l.fd, nullptr, nullptr);
+        const int client = ::accept4(l.fd, nullptr, nullptr, kSockFlags);
         if (client >= 0) {
-          set_nonblocking(client);
-          set_cloexec(client);
           conns.emplace_back(next_id++, client, client, true,
                              l.protocol(options.max_frame_bytes));
         }

@@ -119,13 +119,14 @@ struct StreamListener {
 };
 
 /// Binds + listens on a unix-domain socket at `path` (an existing
-/// socket file is replaced). Returns fd < 0 on failure. The returned
-/// unbind unlinks the path.
+/// socket file is replaced). Returns fd < 0 on failure, with errno
+/// saying why. The returned unbind unlinks the path.
 StreamListener listen_unix(const std::string& path, ProtocolFactory protocol);
 
 /// Binds + listens on TCP `host:port` (port 0 picks an ephemeral port).
-/// Returns fd < 0 on failure; *bound_port (optional) receives the
-/// actual port. Numeric IPv4 hosts only ("127.0.0.1", "0.0.0.0") --
+/// Returns fd < 0 on failure, with errno saying why; *bound_port
+/// (optional) receives the actual port. Numeric IPv4 hosts only
+/// ("127.0.0.1", "0.0.0.0") --
 /// the daemon is an internal-fleet component, not a resolver.
 StreamListener listen_tcp(const std::string& host, int port,
                           ProtocolFactory protocol, int* bound_port);

@@ -1,10 +1,14 @@
 #include "service/server.h"
 
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "service/http.h"
 #include "service/netloop.h"
@@ -129,26 +133,52 @@ int serve_transports(const TransportSpec& spec,
   }
 
   // Bind everything first, on this thread: one listener that fails to
-  // bind fails the whole daemon at once (serve_stream releases the
-  // others), and the port file is only ever written for a complete set.
+  // bind fails the whole daemon at once (every listener bound so far is
+  // released), and the port file is only ever written for a complete
+  // set. The "serving" lines likewise wait for the complete set.
   StreamEndpoints endpoints;
   Json ports = Json::object();
   ports["schema"] = "shlcp.ports.v1";
+  std::vector<std::string> serving;
+  // Takes over a listener, or reports why it could not be bound.
+  const auto add = [&](const char* kind, const std::string& where,
+                       StreamListener listener) {
+    if (listener.fd < 0) {
+      std::fprintf(stderr, "%s: cannot bind %s %s: %s\n",
+                   program_invocation_short_name, kind, where.c_str(),
+                   std::strerror(errno));
+      return false;
+    }
+    endpoints.listeners.push_back(std::move(listener));
+    serving.push_back(std::string(kind) + " " + where);
+    return true;
+  };
+  bool ok = true;
   if (!spec.unix_path.empty()) {
-    endpoints.listeners.push_back(listen_unix(spec.unix_path, make_jsonl));
+    ok = add("unix", spec.unix_path, listen_unix(spec.unix_path, make_jsonl));
     ports["unix"] = spec.unix_path;
   }
-  if (!spec.tcp.empty()) {
+  if (ok && !spec.tcp.empty()) {
     int bound = 0;
-    endpoints.listeners.push_back(
-        listen_tcp(tcp_host, tcp_port, make_jsonl, &bound));
+    ok = add("tcp", spec.tcp,
+             listen_tcp(tcp_host, tcp_port, make_jsonl, &bound));
     ports["tcp"] = bound;
   }
-  if (!spec.http.empty()) {
+  if (ok && !spec.http.empty()) {
     int bound = 0;
-    endpoints.listeners.push_back(
-        listen_tcp(http_host, http_port, make_http_protocol, &bound));
+    ok = add("http", spec.http,
+             listen_tcp(http_host, http_port, make_http_protocol, &bound));
     ports["http"] = bound;
+  }
+  if (!ok) {
+    for (StreamListener& l : endpoints.listeners) {
+      l.close();
+    }
+    return 1;
+  }
+  for (const std::string& line : serving) {
+    std::fprintf(stderr, "%s: serving %s\n", program_invocation_short_name,
+                 line.c_str());
   }
   if (!spec.port_file.empty()) {
     endpoints.on_ready = [&] {

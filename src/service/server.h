@@ -33,7 +33,7 @@
 // error, the listeners stop accepting, and the loop exits 0 once the
 // queue is flushed. That three-part contract (finish in-flight, refuse
 // queued, exit clean) is pinned by tests/service_test.cpp and
-// exercised with a real SIGINT in the CI service-smoke job.
+// exercised with a real SIGINT by the e2e_sigint_drain ctest.
 //
 // A FrameReader protocol error (malformed header, oversized frame) is
 // answered with one "bad_frame" error response and ends that
@@ -162,7 +162,9 @@ bool parse_hostport(const std::string& spec, std::string* host, int* port);
 /// together). Returns 1 at once -- no port file, no listener left --
 /// when a spec is malformed or any bind fails; otherwise blocks until
 /// the loop exits and returns its exit code. At least one transport
-/// must be enabled.
+/// must be enabled. Reports to stderr under the program's name: a
+/// "<prog>: serving <kind> <spec>" line per listener once all are
+/// bound, or "<prog>: cannot bind <kind> <spec>: <reason>".
 int serve_transports(const TransportSpec& spec, const ServerOptions& options);
 
 }  // namespace shlcp::svc

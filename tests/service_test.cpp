@@ -44,6 +44,7 @@
 #include "nbhd/checkpoint.h"
 #include "nbhd/witness.h"
 #include "service/cache.h"
+#include "service/netloop.h"
 #include "service/server.h"
 #include "service/service.h"
 #include "util/budget.h"
@@ -1116,6 +1117,25 @@ TEST(TransportServer, BindFailureExitsAtOnceWithoutPortFile) {
     EXPECT_FALSE(fs::exists(sock)) << "unix listener left behind";
   }
   ::close(holder);
+}
+
+// Listeners are born nonblocking and close-on-exec: no window in which
+// a fork/exec on another thread (the supervisor's) inherits them.
+TEST(TransportServer, ListenersAreNonblockingAndCloseOnExec) {
+  const auto no_protocol = [](std::size_t) {
+    return std::unique_ptr<ConnProtocol>();
+  };
+  StreamListener tcp = listen_tcp("127.0.0.1", 0, no_protocol, nullptr);
+  StreamListener unix_listener = listen_unix(
+      (fs::path(::testing::TempDir()) / "shlcp_flags.sock").string(),
+      no_protocol);
+  for (const StreamListener* l : {&tcp, &unix_listener}) {
+    ASSERT_GE(l->fd, 0);
+    EXPECT_NE(::fcntl(l->fd, F_GETFL) & O_NONBLOCK, 0);
+    EXPECT_NE(::fcntl(l->fd, F_GETFD) & FD_CLOEXEC, 0);
+  }
+  tcp.close();
+  unix_listener.close();
 }
 
 }  // namespace

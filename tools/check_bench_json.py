@@ -8,8 +8,8 @@ Usage:
     check_bench_json.py --self-test
 
 The schema is pinned in bench/report.h and tests/bench_report_test.cpp;
-this script is the CI-side check that runs against the files the smoke
-benches actually wrote. Besides the document shape it evaluates the
+this script is the outside check that the bench_<name>_report ctests run
+against the files the smoke benches actually wrote. Besides the document shape it evaluates the
 report's "gates" array (format in bench/report.h): every gate is
 recomputed from the raw fields of the file, so an edited count, a
 broken accounting sum, or a missing case or histogram fails here even
@@ -136,10 +136,11 @@ REQUIRED_GATES = {
 
 
 def fnv1a_hex(data):
-    """FNV-1a 64 over bytes, rendered exactly like src/nbhd/checkpoint.cpp."""
-    h = 1469598103934665603
+    """FNV-1a 64 over bytes (src/util/hash.h fnv1a64), rendered exactly
+    like src/nbhd/checkpoint.cpp."""
+    h = 0xCBF29CE484222325
     for b in data:
-        h = ((h ^ b) * 1099511628211) & 0xFFFFFFFFFFFFFFFF
+        h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return f"fnv:{h:016x}"
 
 

@@ -30,8 +30,9 @@ must resolve, or the checker exits 1 listing every failure:
 Fenced code blocks are ignored for name checks (quickstarts reference
 built binaries) but still scanned for §N / EN pointers.
 
-The CI `docs-links` job runs this on every push, so a doc rename or a
-tool/bench/example rename cannot silently strand its references.
+The `docs_links` ctest runs this with every test run (and so in every
+CI leg), so a doc rename or a tool/bench/example rename cannot silently
+strand its references.
 """
 
 import os
