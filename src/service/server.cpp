@@ -140,18 +140,19 @@ int serve_transports(const TransportSpec& spec,
   Json ports = Json::object();
   ports["schema"] = "shlcp.ports.v1";
   std::vector<std::string> serving;
-  // Takes over a listener, or reports why it could not be bound.
+  // Takes over a listener, reporting why it could not be bound if so.
   const auto add = [&](const char* kind, const std::string& where,
                        StreamListener listener) {
-    if (listener.fd < 0) {
+    const bool bound = listener.fd >= 0;
+    if (bound) {
+      serving.push_back(std::string(kind) + " " + where);
+    } else {
       std::fprintf(stderr, "%s: cannot bind %s %s: %s\n",
                    program_invocation_short_name, kind, where.c_str(),
                    std::strerror(errno));
-      return false;
     }
     endpoints.listeners.push_back(std::move(listener));
-    serving.push_back(std::string(kind) + " " + where);
-    return true;
+    return bound;
   };
   bool ok = true;
   if (!spec.unix_path.empty()) {
@@ -171,10 +172,9 @@ int serve_transports(const TransportSpec& spec,
     ports["http"] = bound;
   }
   if (!ok) {
-    for (StreamListener& l : endpoints.listeners) {
-      l.close();
-    }
-    return 1;
+    // serve_stream never serves a partial set: it releases every
+    // listener bound so far and returns 1.
+    return serve_stream(std::move(endpoints), options);
   }
   for (const std::string& line : serving) {
     std::fprintf(stderr, "%s: serving %s\n", program_invocation_short_name,

@@ -31,6 +31,13 @@ wait_for() {
   return 1
 }
 
+# wait_gone TRIES PID: polls every 0.1 s until PID has exited.
+wait_gone() {
+  for _ in $(seq 1 "$1"); do kill -0 "$2" 2>/dev/null || return 0; sleep 0.1; done
+  echo "pid $2 still running after $(( $1 / 10 )) s" >&2
+  return 1
+}
+
 # json_get FILE KEY: prints one member of a JSON object file.
 json_get() {
   python3 -c "import json,sys; print(json.load(open(sys.argv[1]))[sys.argv[2]])" "$1" "$2"

@@ -48,15 +48,7 @@ curl -sf -X POST http://127.0.0.1:$RH/v1/check_coloring \
 # SIGINT teardown: the router drains, then reaps its fleet. Bounded
 # wait, so a stuck drain fails loudly instead of hanging the test.
 kill -INT "$router"
-for n in $(seq 1 300); do
-  kill -0 "$router" 2>/dev/null || break
-  sleep 0.1
-done
-if kill -0 "$router" 2>/dev/null; then
-  echo "router did not exit within 30s of SIGINT"
-  cat /proc/"$router"/task/*/wchan 2>/dev/null; echo
-  exit 1
-fi
+wait_gone 300 "$router"
 reap "$router"
 test ! -f "$tmp/ports.json"
 for pid in $pids; do
