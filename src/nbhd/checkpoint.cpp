@@ -14,8 +14,15 @@ namespace shlcp {
 namespace fs = std::filesystem;
 
 std::string fnv1a_hex(std::string_view bytes) {
-  return format("fnv:%016llx",
-                static_cast<unsigned long long>(fnv1a64(bytes)));
+  // "fnv:%016llx", written by hand: every service request and reply
+  // takes a digest, and a format() call costs more than the hash.
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out = "fnv:0000000000000000";
+  std::uint64_t h = fnv1a64(bytes);
+  for (std::size_t i = out.size(); h != 0; h >>= 4) {
+    out[--i] = kHex[h & 0xF];
+  }
+  return out;
 }
 
 std::string checkpoint_git_rev() {

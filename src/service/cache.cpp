@@ -64,7 +64,7 @@ std::string artifact_key(std::string_view op, const Json& params) {
   payload.push_back('\n');
   payload.append(op);
   payload.push_back('\n');
-  payload.append(canonical_dump(params));
+  canonical_dump_to(payload, params);
   return payload;
 }
 

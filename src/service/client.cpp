@@ -243,16 +243,17 @@ Client::Attempt Client::attempt_once(const std::string& body,
         out->error_detail = "response missing ok member";
         return Attempt::kRetriable;
       }
-      out->response = resp;
-      if (resp.at("ok").as_bool()) {
-        if (!resp.contains("result")) {
+      out->response = std::move(resp);
+      const Json& reply = out->response;
+      if (reply.at("ok").as_bool()) {
+        if (!reply.contains("result")) {
           stats_.digest_mismatches += 1;
           out->error_detail = "ok response missing result";
           return Attempt::kRetriable;
         }
-        std::string dumped = resp.at("result").dump();
-        if (options_.verify_digest && resp.contains("digest")) {
-          const Json& digest = resp.at("digest");
+        std::string dumped = reply.at("result").dump();
+        if (options_.verify_digest && reply.contains("digest")) {
+          const Json& digest = reply.at("digest");
           if (!digest.is_string() || digest.as_string() != fnv1a_hex(dumped)) {
             // The result bytes do not match the server's own digest:
             // the response was corrupted in flight. Never surface it.
@@ -270,8 +271,8 @@ Client::Attempt Client::attempt_once(const std::string& body,
       // Error response.
       std::string code;
       std::string message;
-      if (resp.contains("error") && resp.at("error").is_object()) {
-        const Json& err = resp.at("error");
+      if (reply.contains("error") && reply.at("error").is_object()) {
+        const Json& err = reply.at("error");
         if (err.contains("code") && err.at("code").is_string()) {
           code = err.at("code").as_string();
         }
@@ -352,16 +353,17 @@ Client::Attempt Client::attempt_once(const std::string& body,
 }
 
 CallResult Client::call(const std::string& op, const Json& params,
-                        std::uint64_t deadline_ms) {
+                        std::uint64_t deadline_ms, std::string_view check) {
   stats_.calls += 1;
   const std::uint64_t call_index = call_index_++;
   CallResult out;
 
   // The integrity digest commits to the canonical payload once; every
   // attempt re-sends the same commitment (the params do not change).
-  std::string check;
+  std::string wire_check;
   if (options_.attach_check) {
-    check = fnv1a_hex(artifact_key(op, params));
+    wire_check = check.empty() ? fnv1a_hex(artifact_key(op, params))
+                               : std::string(check);
   }
 
   const int max_attempts = std::max(options_.retry.max_attempts, 1);
@@ -377,8 +379,8 @@ CallResult Client::call(const std::string& op, const Json& params,
     if (deadline_ms > 0) {
       req["deadline_ms"] = deadline_ms;
     }
-    if (!check.empty()) {
-      req["check"] = check;
+    if (!wire_check.empty()) {
+      req["check"] = wire_check;
     }
 
     stats_.attempts += 1;

@@ -42,6 +42,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "service/chaos.h"
 #include "service/proto.h"
@@ -153,9 +154,11 @@ class Client {
                                  ChaosPlan chaos);
 
   /// One request, retried per the policy. `deadline_ms` > 0 is attached
-  /// to the request (each attempt gets the full budget afresh).
+  /// to the request (each attempt gets the full budget afresh). `check`
+  /// is fnv1a_hex(artifact_key(op, params)) when the caller has already
+  /// derived it (the router has); empty = derive it here.
   CallResult call(const std::string& op, const Json& params,
-                  std::uint64_t deadline_ms = 0);
+                  std::uint64_t deadline_ms = 0, std::string_view check = {});
 
   [[nodiscard]] const ClientStats& stats() const { return stats_; }
   [[nodiscard]] const ClientOptions& options() const { return options_; }

@@ -120,10 +120,11 @@ std::vector<std::pair<PendingRequest, std::string>> dispatch_batch(
     batch.push_back(std::move(queue.front()));
     queue.pop_front();
   }
-  metrics::histogram("service.batch.size", metrics::HistogramLayout::count())
-      .record(count);
-  metrics::gauge("service.queue.depth")
-      .set(static_cast<std::int64_t>(queue.size()));
+  static metrics::Histogram& batch_size = metrics::histogram(
+      "service.batch.size", metrics::HistogramLayout::count());
+  static metrics::Gauge& queue_depth = metrics::gauge("service.queue.depth");
+  batch_size.record(count);
+  queue_depth.set(static_cast<std::int64_t>(queue.size()));
   if (health != nullptr) {
     health->queue_depth.store(queue.size(), std::memory_order_relaxed);
   }

@@ -83,33 +83,56 @@ FrameReader::Next FrameReader::next(std::string* frame, std::string* error) {
   return Next::kFrame;
 }
 
-Json canonical_json(const Json& j) {
+void canonical_dump_to(std::string& out, const Json& j) {
   switch (j.type()) {
     case Json::Type::kArray: {
-      Json out = Json::array();
-      for (const Json& item : j.items()) {
-        out.push_back(canonical_json(item));
+      const std::vector<Json>& items = j.items();
+      out.push_back('[');
+      for (std::size_t i = 0; i < items.size(); ++i) {
+        if (i > 0) {
+          out.push_back(',');
+        }
+        canonical_dump_to(out, items[i]);
       }
-      return out;
+      out.push_back(']');
+      return;
     }
     case Json::Type::kObject: {
-      std::vector<std::pair<std::string, Json>> members = j.members();
-      std::stable_sort(members.begin(), members.end(),
-                       [](const auto& a, const auto& b) {
-                         return a.first < b.first;
-                       });
-      Json out = Json::object();
-      for (auto& [key, value] : members) {
-        out[key] = canonical_json(value);
+      // Sort pointers, not copies; a stable sort keeps equal keys in
+      // their original order.
+      using Member = std::pair<std::string, Json>;
+      std::vector<const Member*> sorted;
+      sorted.reserve(j.size());
+      for (const Member& m : j.members()) {
+        sorted.push_back(&m);
       }
-      return out;
+      std::stable_sort(sorted.begin(), sorted.end(),
+                       [](const Member* a, const Member* b) {
+                         return a->first < b->first;
+                       });
+      out.push_back('{');
+      for (std::size_t i = 0; i < sorted.size(); ++i) {
+        if (i > 0) {
+          out.push_back(',');
+        }
+        Json::dump_string(out, sorted[i]->first);
+        out.push_back(':');
+        canonical_dump_to(out, sorted[i]->second);
+      }
+      out.push_back('}');
+      return;
     }
     default:
-      return j;
+      j.dump_to(out);
+      return;
   }
 }
 
-std::string canonical_dump(const Json& j) { return canonical_json(j).dump(); }
+std::string canonical_dump(const Json& j) {
+  std::string out;
+  canonical_dump_to(out, j);
+  return out;
+}
 
 Json graph_to_json(const Graph& g) {
   Json j = Json::object();
@@ -229,13 +252,15 @@ Instance instance_from_json(const Json& j) {
   return inst;
 }
 
-Request parse_request(const Json& j) {
+Request parse_request(Json j) {
   SHLCP_CHECK_MSG(j.is_object(), "request: expected an object");
   Request req;
   bool saw_op = false;
+  bool saw_id = false;
+  bool saw_params = false;
   for (const auto& [key, value] : j.members()) {
     if (key == "id") {
-      req.id = value;
+      saw_id = true;
     } else if (key == "op") {
       SHLCP_CHECK_MSG(value.is_string() && !value.as_string().empty(),
                       "request: op must be a non-empty string");
@@ -243,7 +268,7 @@ Request parse_request(const Json& j) {
       saw_op = true;
     } else if (key == "params") {
       SHLCP_CHECK_MSG(value.is_object(), "request: params must be an object");
-      req.params = value;
+      saw_params = true;
     } else if (key == "deadline_ms") {
       req.deadline_ms = value.as_uint();
     } else if (key == "check") {
@@ -256,9 +281,11 @@ Request parse_request(const Json& j) {
     }
   }
   SHLCP_CHECK_MSG(saw_op, "request: missing op");
-  if (!req.params.is_object()) {
-    req.params = Json::object();
+  // Validated: move the two trees out instead of copying them.
+  if (saw_id) {
+    req.id = std::move(j["id"]);
   }
+  req.params = saw_params ? std::move(j["params"]) : Json::object();
   return req;
 }
 
@@ -274,6 +301,28 @@ Json ok_response(const Json& id, Json result, bool cached,
   }
   r["result"] = std::move(result);
   return r;
+}
+
+std::string ok_response_text(const Json& id, std::string_view result,
+                             bool cached, std::string_view digest) {
+  // Member order and spelling mirror ok_response's dump; a test pins
+  // the two to the same bytes.
+  std::string out;
+  out.reserve(result.size() + digest.size() + 80);
+  out += "{\"schema\":";
+  Json::dump_string(out, kWireSchema);
+  out += ",\"id\":";
+  id.dump_to(out);
+  out += cached ? ",\"ok\":true,\"cached\":true"
+                : ",\"ok\":true,\"cached\":false";
+  if (!digest.empty()) {
+    out += ",\"digest\":";
+    Json::dump_string(out, digest);
+  }
+  out += ",\"result\":";
+  out += result;
+  out.push_back('}');
+  return out;
 }
 
 Json error_response(const Json& id, std::string_view code,

@@ -113,14 +113,14 @@ class FrameReader {
   std::string fail_message_;
 };
 
-/// Canonical form for cache keying: object keys sorted recursively
-/// (arrays keep their order -- element order is semantic). Values are
-/// untouched.
-Json canonical_json(const Json& j);
-
-/// canonical_json + compact dump: the canonicalized request payload the
-/// artifact cache hashes.
+/// Canonical form for cache keying: the compact dump with object keys
+/// sorted recursively (a stable sort, so equal keys keep their order;
+/// arrays keep theirs -- element order is semantic). Values are
+/// untouched. Written straight from the tree: nothing is copied.
 std::string canonical_dump(const Json& j);
+
+/// Appends canonical_dump(j) to `out`.
+void canonical_dump_to(std::string& out, const Json& j);
 
 /// Graph <-> {"n": int, "edges": [[u, v], ...]} (edges sorted, as
 /// Graph::edges()).
@@ -149,8 +149,10 @@ struct Request {
 
 /// Validates the envelope shape; throws CheckError naming the offending
 /// member on anything malformed (unknown members are rejected too, so
-/// client typos fail loudly instead of being ignored).
-Request parse_request(const Json& j);
+/// client typos fail loudly instead of being ignored). Takes the
+/// document by value and moves "id" and "params" out of it: pass an
+/// rvalue to parse without copying the params tree.
+Request parse_request(Json j);
 
 /// Response builders. `id` is echoed verbatim (null when the request
 /// was too malformed to carry one). `digest` is fnv1a_hex of the dumped
@@ -158,6 +160,15 @@ Request parse_request(const Json& j);
 /// `retry_after_ms` >= 0 adds the backpressure hint to the error object.
 Json ok_response(const Json& id, Json result, bool cached,
                  std::string_view digest = "");
+
+/// The ok response as wire text, written around `result`, the compact
+/// dump of the result document, which is spliced in verbatim. Equals
+/// ok_response(id, Json::parse(result), cached, digest).dump() without
+/// building or parsing a tree: a cache hit answers from the stored
+/// bytes.
+std::string ok_response_text(const Json& id, std::string_view result,
+                             bool cached, std::string_view digest);
+
 Json error_response(const Json& id, std::string_view code,
                     std::string_view message, std::string_view repro = "",
                     std::int64_t retry_after_ms = -1);

@@ -207,12 +207,14 @@ Json Router::handle(const Json& request, std::uint64_t elapsed_ms) {
                static_cast<unsigned long long>(req.deadline_ms)));
   }
   // Refuse a corrupted request here rather than shipping it across the
-  // fleet -- same contract as Service::handle. The artifact key is
-  // derived once: it is the digest's preimage and the ring key.
+  // fleet -- same contract as Service::handle_text. The artifact key is
+  // derived once: it is the digest's preimage, the ring key, and (as
+  // its digest) the check the backend call carries.
   std::string artifact;
+  std::string digest;
   if (!req.check.empty()) {
     artifact = artifact_key(req.op, req.params);
-    const std::string digest = fnv1a_hex(artifact);
+    digest = fnv1a_hex(artifact);
     if (req.check != digest) {
       metrics::counter("router.errors").inc();
       return error_response(
@@ -222,9 +224,11 @@ Json Router::handle(const Json& request, std::uint64_t elapsed_ms) {
                  req.check.c_str(), digest.c_str()));
     }
   }
-  // Remaining deadline budget travels to the backend.
+  // Remaining deadline budget travels to the backend. A request with
+  // exactly nothing left keeps the smallest budget: a deadline_ms of 0
+  // would send it with none at all.
   if (req.deadline_ms > 0) {
-    req.deadline_ms -= elapsed_ms;
+    req.deadline_ms = std::max<std::uint64_t>(req.deadline_ms - elapsed_ms, 1);
   }
 
   if (req.op == "info") {
@@ -233,7 +237,12 @@ Json Router::handle(const Json& request, std::uint64_t elapsed_ms) {
   if (req.op == "health") {
     return aggregate_health(req);
   }
-  return route(req, routing_key(req.op, req.params, std::move(artifact)));
+  if (artifact.empty()) {
+    artifact = artifact_key(req.op, req.params);
+    digest = fnv1a_hex(artifact);
+  }
+  return route(req, routing_key(req.op, req.params, std::move(artifact)),
+               digest);
 }
 
 void Router::mark_down(Backend& b, const CallResult& r) {
@@ -286,9 +295,10 @@ bool Router::set_backend_alive(const std::string& name, bool alive) {
 
 bool Router::call_backend(Backend& b, const std::string& op,
                           const Json& params, std::uint64_t deadline_ms,
-                          bool forwarding, CallResult* out) {
+                          bool forwarding, CallResult* out,
+                          std::string_view check) {
   std::unique_ptr<Client> client = b.borrow(options_.client);
-  *out = client->call(op, params, deadline_ms);
+  *out = client->call(op, params, deadline_ms, check);
   // A forwarded request's caller errors are final too: the backend
   // answered, and the answer is "your request is wrong" (or "I am
   // broken in a way a sibling will be too"). Rerouting cannot fix it
@@ -319,7 +329,8 @@ bool Router::call_backend(Backend& b, const std::string& op,
   return false;
 }
 
-Json Router::route(const Request& req, const std::string& key) {
+Json Router::route(const Request& req, const std::string& key,
+                   std::string_view check) {
   const std::vector<int> pref = ring_.preference(HashRing::point_of(key));
   const int max_tries =
       std::max(1, std::min(options_.replica_attempts,
@@ -364,9 +375,9 @@ Json Router::route(const Request& req, const std::string& key) {
     Backend& b = *backends_[static_cast<std::size_t>(idx)];
     b.forwarded.fetch_add(1, std::memory_order_relaxed);
     if (call_backend(b, req.op, req.params, req.deadline_ms,
-                     /*forwarding=*/true, &last)) {
+                     /*forwarding=*/true, &last, check)) {
       b.answered.fetch_add(1, std::memory_order_relaxed);
-      Json response = last.response;
+      Json response = std::move(last.response);
       response["id"] = req.id;  // restore the caller's id; result bytes
                                 // and digest pass through untouched
       return response;

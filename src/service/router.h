@@ -212,14 +212,19 @@ class Router : public Dispatcher {
   /// pooled again. false = move to the next replica; b is marked down
   /// on transport death or draining (any failure when not forwarding:
   /// probes and fan-outs).
+  /// `check`, when non-empty, is the request's digest the Client would
+  /// otherwise derive again (Client::call).
   bool call_backend(Backend& b, const std::string& op, const Json& params,
                     std::uint64_t deadline_ms, bool forwarding,
-                    CallResult* out);
+                    CallResult* out, std::string_view check = {});
   Backend* find_backend(const std::string& name);
   /// Marks b down and bumps its refused/timeout counter per the
   /// failure kind of `r`.
   static void mark_down(Backend& b, const CallResult& r);
-  Json route(const Request& req, const std::string& key);
+  /// Forwards `req` along the ring order of `key`; `check` is its
+  /// fnv1a_hex(artifact_key) digest, handed on to the Client.
+  Json route(const Request& req, const std::string& key,
+             std::string_view check);
   Json aggregate_info(const Request& req);
   Json aggregate_health(const Request& req);
 

@@ -1,7 +1,9 @@
 #include "service/service.h"
 
+#include <algorithm>
 #include <chrono>
 #include <exception>
+#include <iterator>
 #include <utility>
 
 #include "certify/degree_one.h"
@@ -106,6 +108,28 @@ Json session_counters_json(const ia::SessionCounters& c) {
   return j;
 }
 
+/// Every op, in Service::ops() order (the order of Service::op_metrics_).
+constexpr std::string_view kOps[] = {
+    "run_decoder",  "check_coloring", "search_witness",
+    "build_nbhd",   "info",           "health",
+    "session_open", "session_step",   "session_close"};
+
+metrics::Counter& requests_counter() {
+  static metrics::Counter& c = metrics::counter("service.requests");
+  return c;
+}
+
+metrics::Counter& errors_counter() {
+  static metrics::Counter& c = metrics::counter("service.errors");
+  return c;
+}
+
+/// The id a (possibly malformed) request document carries, or null.
+Json request_id(const Json& request) {
+  return request.is_object() && request.contains("id") ? request.at("id")
+                                                       : Json();
+}
+
 std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -138,19 +162,28 @@ Service::Service(ServiceConfig config)
   lcps_.push_back(std::make_unique<WatermelonLcp>());
   lcps_.push_back(
       std::make_unique<WatermelonLcp>(WatermelonVariant::kNoPortCheck));
+  for (const std::string_view op : kOps) {
+    const std::string name(op);
+    op_metrics_.push_back(OpMetrics{
+        &metrics::counter(format("service.%s.requests", name.c_str())),
+        &metrics::histogram(format("service.%s.latency_ns", name.c_str()))});
+  }
 }
 
 Service::~Service() = default;
 
 std::vector<std::string> Service::ops() {
-  return {"run_decoder",  "check_coloring", "search_witness",
-          "build_nbhd",   "info",           "health",
-          "session_open", "session_step",   "session_close"};
+  return {std::begin(kOps), std::end(kOps)};
 }
 
 std::string Service::handle_text(const std::string& body,
                                  std::uint64_t elapsed_ms) {
   return handle_text(body, elapsed_ms, /*conn=*/-1);
+}
+
+Json Service::handle(const Json& request, std::uint64_t elapsed_ms,
+                     std::int64_t conn) {
+  return Json::parse(handle_text(request.dump(), elapsed_ms, conn));
 }
 
 std::string Service::handle_text(const std::string& body,
@@ -160,107 +193,127 @@ std::string Service::handle_text(const std::string& body,
   try {
     request = Json::parse(body);
   } catch (const CheckError& e) {
-    metrics::counter("service.errors").inc();
+    errors_counter().inc();
     return error_response(Json(), kErrInvalidRequest, e.what()).dump();
   }
-  return handle(request, elapsed_ms, conn).dump();
-}
-
-Json Service::handle(const Json& request, std::uint64_t elapsed_ms,
-                     std::int64_t conn) {
-  metrics::counter("service.requests").inc();
-  const Json id = request.is_object() && request.contains("id")
-                      ? request.at("id")
-                      : Json();
+  requests_counter().inc();
   if (draining()) {
-    metrics::counter("service.errors").inc();
-    return error_response(id, kErrDraining,
-                          "service is draining; resubmit elsewhere");
+    errors_counter().inc();
+    return error_response(request_id(request), kErrDraining,
+                          "service is draining; resubmit elsewhere")
+        .dump();
   }
   Request req;
   try {
-    req = parse_request(request);
+    req = parse_request(std::move(request));
   } catch (const CheckError& e) {
-    metrics::counter("service.errors").inc();
-    return error_response(id, kErrInvalidRequest, e.what());
+    // The document was moved into parse_request; this rare path parses
+    // the body again to echo its id.
+    errors_counter().inc();
+    return error_response(request_id(Json::parse(body)), kErrInvalidRequest,
+                          e.what())
+        .dump();
   }
   if (req.deadline_ms > 0 && elapsed_ms > req.deadline_ms) {
-    metrics::counter("service.errors").inc();
+    errors_counter().inc();
     return error_response(
-        id, kErrDeadline,
-        format("request waited %llu ms past its %llu ms deadline",
-               static_cast<unsigned long long>(elapsed_ms),
-               static_cast<unsigned long long>(req.deadline_ms)));
+               req.id, kErrDeadline,
+               format("request waited %llu ms past its %llu ms deadline",
+                      static_cast<unsigned long long>(elapsed_ms),
+                      static_cast<unsigned long long>(req.deadline_ms)))
+        .dump();
   }
 
-  metrics::counter(format("service.%s.requests", req.op.c_str())).inc();
-  metrics::Histogram& latency =
-      metrics::histogram(format("service.%s.latency_ns", req.op.c_str()));
+  // An unknown op gets no per-op metrics: its name is the client's
+  // string, and must not mint registry entries.
+  const auto known = std::find(std::begin(kOps), std::end(kOps), req.op);
+  const OpMetrics* op_metrics =
+      known == std::end(kOps)
+          ? nullptr
+          : &op_metrics_[static_cast<std::size_t>(known - std::begin(kOps))];
+  if (op_metrics != nullptr) {
+    op_metrics->requests->inc();
+  }
   const std::uint64_t start = now_ns();
+  const auto record_latency = [&] {
+    if (op_metrics != nullptr) {
+      op_metrics->latency->record(now_ns() - start);
+    }
+  };
   trace::Span span("service.request");
+
+  // Cacheable ops replay the stored result bytes. The session ops are
+  // stateful (each call advances a live session), and info / health
+  // report live state, so none of those is cached.
+  const bool cacheable = req.op == "run_decoder" ||
+                         req.op == "check_coloring" ||
+                         req.op == "search_witness" || req.op == "build_nbhd";
 
   // End-to-end integrity: the client's "check" digest commits to the
   // (op, params) it meant to send. Recompute from what actually arrived
   // and refuse a mismatch -- a request corrupted in flight must get a
-  // retriable error, never an answer to the corrupted question.
-  const std::string key = artifact_key(req.op, req.params);
-  if (!req.check.empty() && req.check != fnv1a_hex(key)) {
-    metrics::counter("service.errors").inc();
-    metrics::counter("service.integrity_rejects").inc();
-    return error_response(
-        req.id, kErrIntegrity,
-        format("request digest %s does not match the received payload (%s); "
-               "the frame was corrupted in transit -- retry",
-               req.check.c_str(), fnv1a_hex(key).c_str()));
+  // retriable error, never an answer to the corrupted question. The key
+  // is derived once: the digest's preimage and the cache key.
+  std::string key;
+  if (cacheable || !req.check.empty()) {
+    key = artifact_key(req.op, req.params);
+  }
+  if (!req.check.empty()) {
+    const std::string digest = fnv1a_hex(key);
+    if (req.check != digest) {
+      errors_counter().inc();
+      metrics::counter("service.integrity_rejects").inc();
+      return error_response(
+                 req.id, kErrIntegrity,
+                 format("request digest %s does not match the received "
+                        "payload (%s); the frame was corrupted in transit "
+                        "-- retry",
+                        req.check.c_str(), digest.c_str()))
+          .dump();
+    }
   }
 
-  // Cache probe: cacheable ops replay the stored result bytes. The
-  // session ops are stateful (each call advances a live session), so
-  // they are never cached.
-  const bool is_session_op = req.op == "session_open" ||
-                             req.op == "session_step" ||
-                             req.op == "session_close";
-  const bool is_known_op =
-      req.op == "run_decoder" || req.op == "check_coloring" ||
-      req.op == "search_witness" || req.op == "build_nbhd" ||
-      req.op == "info" || req.op == "health" || is_session_op;
-  const bool cacheable = is_known_op && req.op != "info" &&
-                         req.op != "health" && !is_session_op;
+  // The one cache probe. A hit splices the stored bytes into the
+  // response; its digest is recomputed from those bytes.
   if (cacheable) {
     if (std::optional<std::string> cached = cache_.get(key)) {
-      latency.record(now_ns() - start);
-      return ok_response(req.id, Json::parse(*cached), /*cached=*/true,
-                         fnv1a_hex(*cached));
+      record_latency();
+      return ok_response_text(req.id, *cached, /*cached=*/true,
+                              fnv1a_hex(*cached));
     }
   }
 
   // Deadline budget for the dispatch itself (0 = unbounded). The
-  // pre-work check above guarantees elapsed_ms <= deadline_ms here.
+  // pre-work check above guarantees elapsed_ms <= deadline_ms here; a
+  // request with exactly nothing left still runs under the smallest
+  // budget, never under none.
   const std::uint64_t remaining_ms =
-      req.deadline_ms > 0 ? req.deadline_ms - elapsed_ms : 0;
+      req.deadline_ms > 0
+          ? std::max<std::uint64_t>(req.deadline_ms - elapsed_ms, 1)
+          : 0;
 
   try {
-    Json result = dispatch(req, remaining_ms, conn);
-    std::string dumped = result.dump();
-    std::string digest = fnv1a_hex(dumped);
+    const std::string result = dispatch(req, remaining_ms, conn).dump();
+    const std::string digest = fnv1a_hex(result);
     if (cacheable) {
-      cache_.insert(key, dumped);
+      cache_.insert(key, result);
     }
-    latency.record(now_ns() - start);
-    return ok_response(req.id, std::move(result), /*cached=*/false, digest);
+    record_latency();
+    return ok_response_text(req.id, result, /*cached=*/false, digest);
   } catch (const ServiceError& e) {
-    metrics::counter("service.errors").inc();
-    latency.record(now_ns() - start);
+    errors_counter().inc();
+    record_latency();
     return error_response(req.id, e.code, e.message, e.repro,
-                          e.retry_after_ms);
+                          e.retry_after_ms)
+        .dump();
   } catch (const CheckError& e) {
-    metrics::counter("service.errors").inc();
-    latency.record(now_ns() - start);
-    return error_response(req.id, kErrInvalidParams, e.what());
+    errors_counter().inc();
+    record_latency();
+    return error_response(req.id, kErrInvalidParams, e.what()).dump();
   } catch (const std::exception& e) {
-    metrics::counter("service.errors").inc();
-    latency.record(now_ns() - start);
-    return error_response(req.id, kErrInternal, e.what());
+    errors_counter().inc();
+    record_latency();
+    return error_response(req.id, kErrInternal, e.what()).dump();
   }
 }
 

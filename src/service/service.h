@@ -3,11 +3,11 @@
 // Service is the transport-independent core of shlcpd: it owns the LCP
 // registry (every named scheme of src/certify, both repaired and
 // literal variants), the audit instance pool, and the artifact cache,
-// and maps one parsed request to one response. The server (server.h),
-// the bench (bench/bench_service.cpp), and the tests all talk to the
-// same handle() entry point, which is what makes "daemon responses are
-// bit-identical to direct library calls" a checkable claim rather than
-// a hope.
+// and maps one request to one response. The server (server.h), the
+// bench (bench/bench_service.cpp), and the tests all talk to the same
+// handle_text() entry point (handle() wraps it for in-process callers),
+// which is what makes "daemon responses are bit-identical to direct
+// library calls" a checkable claim rather than a hope.
 //
 // Operations (schema shlcp.svc.v1):
 //
@@ -45,11 +45,20 @@
 //   session_close   abort a live session early (aborted sessions are
 //                   accounted separately from completed/expired ones).
 //
+// One pass per request: handle_text() parses the body once, moves id
+// and params out of it (parse_request), derives artifact_key(op,
+// params) once -- the "check" digest's preimage and the cache key --
+// and probes the cache exactly once, after the drain, envelope,
+// deadline and integrity checks.
+//
 // The first four ops are cached: the dispatcher stores the *dumped*
-// result string under artifact_key(op, params), so a hit replays the
-// original bytes. The session ops are stateful and therefore never
-// cached. Every op bumps service.<op>.requests and records into the
-// service.<op>.latency_ns histogram; errors bump service.errors.
+// result string under the artifact key, and a hit splices those bytes
+// verbatim into the response text (ok_response_text), with the digest
+// recomputed from them -- no tree is built or parsed. A miss dumps its
+// result once and uses the same writer. The session ops are stateful
+// and therefore never cached. Every op bumps service.<op>.requests and
+// records into the service.<op>.latency_ns histogram, both resolved
+// once at construction; errors bump service.errors.
 //
 // Resilience (DESIGN.md §14): a request's optional "check" digest is
 // recomputed from the parsed params and a mismatch is refused with
@@ -58,7 +67,9 @@
 // verification. deadline_ms is enforced twice: before work (queue
 // delay already past it -> "deadline_exceeded" without dispatch) and
 // at frame boundaries inside build_nbhd (the one op long enough to
-// expire mid-flight), via the resumable builders' wall budget.
+// expire mid-flight), via the resumable builders' wall budget. A
+// request with exactly its whole budget spent is not past it, and
+// runs under a 1 ms budget rather than none.
 //
 // Draining: begin_drain() flips a flag after which every request is
 // answered with the "draining" error and nothing new is dispatched --
@@ -78,6 +89,11 @@
 #include "lcp/decoder.h"
 #include "service/cache.h"
 #include "service/proto.h"
+
+namespace shlcp::metrics {
+class Counter;
+class Histogram;
+}  // namespace shlcp::metrics
 
 namespace shlcp::svc {
 
@@ -190,8 +206,10 @@ class Service : public Dispatcher {
   std::string handle_text(const std::string& body, std::uint64_t elapsed_ms,
                           std::int64_t conn) override;
 
-  /// Same, on an already-parsed document. `conn` attributes session
-  /// opens to a connection for the per-connection cap (-1 = exempt).
+  /// Same, on an already-parsed document, for in-process callers: it
+  /// dumps the request, calls handle_text() and parses the reply.
+  /// `conn` attributes session opens to a connection for the
+  /// per-connection cap (-1 = exempt).
   Json handle(const Json& request, std::uint64_t elapsed_ms = 0,
               std::int64_t conn = -1);
 
@@ -250,12 +268,20 @@ class Service : public Dispatcher {
   /// Validated params["session"] (grammar + reserved namespace).
   static std::string session_param(const Json& params);
 
+  /// service.<op>.requests and service.<op>.latency_ns of each op, in
+  /// ops() order, resolved once at construction.
+  struct OpMetrics {
+    metrics::Counter* requests;
+    metrics::Histogram* latency;
+  };
+
   ServiceConfig config_;
   std::vector<std::unique_ptr<Lcp>> lcps_;
   std::vector<NamedInstance> pool_;
   ArtifactCache cache_;
   std::vector<std::unique_ptr<ia::InteractiveProtocol>> protocols_;
   ia::SessionTable sessions_;
+  std::vector<OpMetrics> op_metrics_;
   std::atomic<bool> draining_{false};
   std::atomic<const HealthState*> health_{nullptr};
 };

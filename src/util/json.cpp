@@ -1,6 +1,7 @@
 #include "util/json.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -135,7 +136,7 @@ const std::vector<std::pair<std::string, Json>>& Json::members() const {
 
 namespace {
 
-void append_escaped(std::string& out, const std::string& s) {
+void append_escaped(std::string& out, std::string_view s) {
   out.push_back('"');
   for (const char c : s) {
     switch (c) {
@@ -167,6 +168,14 @@ void append_escaped(std::string& out, const std::string& s) {
   out.push_back('"');
 }
 
+/// std::to_string's digits, without building a string per number.
+template <typename T>
+void append_integer(std::string& out, T v) {
+  char buf[24];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, r.ptr);
+}
+
 void append_newline_indent(std::string& out, int indent, int depth) {
   if (indent >= 0) {
     out.push_back('\n');
@@ -185,10 +194,10 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
       out += bool_ ? "true" : "false";
       break;
     case Type::kInt:
-      out += std::to_string(int_);
+      append_integer(out, int_);
       break;
     case Type::kUint:
-      out += std::to_string(uint_);
+      append_integer(out, uint_);
       break;
     case Type::kDouble: {
       if (std::isfinite(double_)) {
@@ -242,6 +251,10 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
   }
 }
 
+void Json::dump_string(std::string& out, std::string_view s) {
+  append_escaped(out, s);
+}
+
 std::string Json::dump(int indent) const {
   std::string out;
   dump_to(out, indent, 0);
@@ -250,7 +263,7 @@ std::string Json::dump(int indent) const {
 
 namespace {
 
-/// Nesting cap for parse. The parser, canonical_json, dump, and the
+/// Nesting cap for parse. The parser, canonical_dump, dump, and the
 /// Json destructor all recurse once per container level, so untrusted
 /// input (service frames arrive straight from the wire) must not be
 /// able to choose the recursion depth: a few MiB of '[' would

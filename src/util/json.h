@@ -77,6 +77,13 @@ class Json {
   /// indent >= 0 pretty-prints with that many spaces per level.
   std::string dump(int indent = -1) const;
 
+  /// Appends the single-line dump to `out` (what dump() returns).
+  void dump_to(std::string& out) const { dump_to(out, -1, 0); }
+
+  /// Appends `s` as a quoted, escaped JSON string literal, exactly as
+  /// dump() writes a string value or an object key.
+  static void dump_string(std::string& out, std::string_view s);
+
   /// Parses `text`; throws shlcp::CheckError on malformed input,
   /// trailing garbage, or containers nested deeper than 256 levels
   /// (the cap keeps recursion bounded on untrusted wire input).

@@ -211,6 +211,14 @@ TEST(BudgetTest, UnlimitedBudgetNeverStops) {
 // ---------------------------------------------------------------------------
 // NbhdGraph serialization.
 
+// The digest spelling is on disk (checkpoints, cache entries) and on
+// the wire: "fnv:" and 16 lowercase hex digits, leading zeros kept.
+TEST(CheckpointTest, DigestSpellingIsFixed) {
+  EXPECT_EQ(fnv1a_hex(""), "fnv:cbf29ce484222325");
+  EXPECT_EQ(fnv1a_hex("a"), "fnv:af63dc4c8601ec8c");
+  EXPECT_EQ(fnv1a_hex("k9000"), "fnv:00a93efcb6745273");
+}
+
 TEST(CheckpointTest, NbhdGraphJsonRoundTrip) {
   const SpanningBfsLcp lcp;
   const auto graphs = connected_bipartite(3);

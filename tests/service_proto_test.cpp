@@ -6,8 +6,14 @@
 // layer must survive arbitrary byte splits and reject malformed input
 // with an error response rather than a crash.
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <limits>
+#include <random>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -94,7 +100,7 @@ TEST(JsonEdgeCases, IntegerOverflowThrows) {
   EXPECT_THROW(Json::parse("-9223372036854775809"), CheckError);
 }
 
-// The parser (and everything downstream of it: canonical_json, dump,
+// The parser (and everything downstream of it: canonical_dump, dump,
 // the Json destructor) recurses per container level, so nesting depth
 // must be capped -- otherwise one frame of a few MiB of '[' (well under
 // the 4 MiB frame cap) overflows the stack and kills the daemon.
@@ -268,6 +274,94 @@ TEST(Canonical, KeysSortedInsideArrays) {
   EXPECT_EQ(canonical_dump(a), R"([{"a":2,"b":1}])");
 }
 
+/// The tree-copying canonicalizer canonical_dump replaced, kept as
+/// the reference: copy the tree with every object's members stably
+/// sorted by key, then dump the copy.
+Json reference_canonical(const Json& j) {
+  switch (j.type()) {
+    case Json::Type::kArray: {
+      Json out = Json::array();
+      for (const Json& item : j.items()) {
+        out.push_back(reference_canonical(item));
+      }
+      return out;
+    }
+    case Json::Type::kObject: {
+      std::vector<std::pair<std::string, Json>> members = j.members();
+      std::stable_sort(members.begin(), members.end(),
+                       [](const auto& a, const auto& b) {
+                         return a.first < b.first;
+                       });
+      Json out = Json::object();
+      for (auto& [key, value] : members) {
+        out[key] = reference_canonical(value);
+      }
+      return out;
+    }
+    default:
+      return j;
+  }
+}
+
+/// A random JSON document as text: nested objects and arrays, keys
+/// drawn from a small pool (so duplicates are common) that includes
+/// escapes, control bytes and non-ASCII, and every scalar type.
+std::string random_json_text(std::mt19937_64& rng, int depth) {
+  // As JSON source text: escapes are spelled out.
+  static const char* kKeys[] = {"a",        "b", "B",         "ab",
+                                "",         "z", "k\\\"q",    "tab\\t",
+                                "\\u0001x", "a\\\\b", "\xC3\xA9"};
+  const auto pick = [&](std::uint64_t n) { return rng() % n; };
+  const std::uint64_t kind = depth >= 4 ? pick(6) : pick(8);
+  switch (kind) {
+    case 0:
+      return "null";
+    case 1:
+      return pick(2) ? "true" : "false";
+    case 2:
+      return std::to_string(static_cast<std::int64_t>(rng()));
+    case 3:
+      return std::to_string(rng());
+    case 4:
+      return std::to_string(static_cast<int>(pick(2000)) - 1000) + ".25";
+    case 5:
+      return std::string("\"") + kKeys[pick(std::size(kKeys))] + "\"";
+    case 6: {
+      std::string out = "[";
+      const std::uint64_t n = pick(4);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        out += (i ? "," : "") + random_json_text(rng, depth + 1);
+      }
+      return out + "]";
+    }
+    default: {
+      std::string out = "{";
+      const std::uint64_t n = pick(6);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        out += std::string(i ? "," : "") + "\"" +
+               kKeys[pick(std::size(kKeys))] +
+               "\":" + random_json_text(rng, depth + 1);
+      }
+      return out + "}";
+    }
+  }
+}
+
+TEST(Canonical, MatchesTheTreeCopyingReference) {
+  std::mt19937_64 rng(0x5EED);
+  for (int i = 0; i < 2000; ++i) {
+    const std::string text = random_json_text(rng, 0);
+    const Json j = Json::parse(text);
+    EXPECT_EQ(canonical_dump(j), reference_canonical(j).dump()) << text;
+  }
+}
+
+TEST(Canonical, AppendsAfterExistingBytes) {
+  std::string out = "prefix\n";
+  canonical_dump_to(out, Json::parse(R"({"b":[{"d":1,"c":2}],"a":"\n"})"));
+  EXPECT_EQ(out, "prefix\n" R"({"a":"\n","b":[{"c":2,"d":1}]})");
+}
+
 // ---------------------------------------------------------------------
 // Value codecs.
 
@@ -382,6 +476,46 @@ TEST(RequestEnvelope, ResilienceMembersAreAdditive) {
   const Json hinted = error_response(Json(), "overloaded", "queue full", "",
                                      /*retry_after_ms=*/25);
   EXPECT_EQ(hinted.at("error").at("retry_after_ms").as_int(), 25);
+}
+
+// The splicing writer and the tree builder are two spellings of one
+// response: pinned to the same bytes for every id shape, both cached
+// flags, with and without a digest.
+TEST(RequestEnvelope, SplicedOkResponseEqualsTheTreeBuilder) {
+  const std::vector<Json> ids = {
+      Json(), Json("c12"), Json(std::int64_t{-7}),
+      Json(std::numeric_limits<std::uint64_t>::max()), Json(2.5),
+      Json::parse(R"({"z":[1,{"q":"\u0001"}],"a":true})")};
+  const std::vector<std::string> results = {
+      "{}", "[]", "null", R"({"k":3,"mode":"verify","violation":[0,1]})",
+      R"({"s":"a\"b\\c\n","n":-9223372036854775808,"e":[[],{}]})"};
+  for (const Json& id : ids) {
+    for (const std::string& result : results) {
+      for (const bool cached : {false, true}) {
+        for (const std::string_view digest :
+             {std::string_view(), std::string_view("fnv:00000000deadbeef")}) {
+          EXPECT_EQ(ok_response_text(id, result, cached, digest),
+                    ok_response(id, Json::parse(result), cached, digest)
+                        .dump())
+              << id.dump() << " " << result;
+        }
+      }
+    }
+  }
+}
+
+// parse_request takes the document by value: an lvalue is copied and
+// left intact, an rvalue has its id and params moved out.
+TEST(RequestEnvelope, ParseRequestMovesOutOfAnRvalue) {
+  const Json doc = Json::parse(
+      R"({"id":{"n":1},"op":"check_coloring","params":{"k":2,"graph":{}}})");
+  const Request copied = parse_request(doc);
+  EXPECT_EQ(doc.at("params").dump(), R"({"k":2,"graph":{}})");
+  Json moved_from = doc;
+  const Request moved = parse_request(std::move(moved_from));
+  EXPECT_EQ(moved.id.dump(), copied.id.dump());
+  EXPECT_EQ(moved.params.dump(), copied.params.dump());
+  EXPECT_EQ(moved.params.dump(), R"({"k":2,"graph":{}})");
 }
 
 }  // namespace

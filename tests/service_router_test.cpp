@@ -318,6 +318,29 @@ TEST_F(RouterFleet, CallerErrorsComeBackVerbatim) {
   EXPECT_EQ(reroutes, 0u);
 }
 
+// A request with exactly no deadline budget left is forwarded with the
+// smallest budget, not with none: the backend stops its build at the
+// first frame boundary and answers deadline_exceeded.
+TEST_F(RouterFleet, ZeroBudgetLeftTravelsAsADeadline) {
+  Json params = Json::object();
+  params["lcp"] = "degree-one";
+  Json& graphs = (params["graphs"] = Json::array());
+  for (const char* spec : {"path:8", "cycle:8", "path:9"}) {
+    graphs.push_back(spec);
+  }
+  params["build"] = "exhaustive";
+  Json req = make_request(1, "build_nbhd", params);
+  req["deadline_ms"] = 5;
+  const Json resp = router_->handle(req, /*elapsed_ms=*/5);
+  ASSERT_FALSE(resp.at("ok").as_bool()) << resp.dump();
+  const std::string message = resp.at("error").at("message").as_string();
+  EXPECT_NE(message.find("'deadline_exceeded'"), std::string::npos)
+      << resp.dump();
+  EXPECT_NE(message.find("expired its 1 ms deadline budget"),
+            std::string::npos)
+      << resp.dump();
+}
+
 TEST_F(RouterFleet, InfoAggregatesTheFleet) {
   const Json resp = router_->handle(make_request(1, "info", Json::object()));
   ASSERT_TRUE(resp.at("ok").as_bool()) << resp.dump();

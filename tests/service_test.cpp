@@ -29,7 +29,10 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -48,6 +51,8 @@
 #include "service/server.h"
 #include "service/service.h"
 #include "util/budget.h"
+#include "util/hash.h"
+#include "util/metrics.h"
 
 namespace shlcp::svc {
 namespace {
@@ -523,6 +528,200 @@ TEST(ServiceCache, KeysMatchExactPayloadsOnly) {
   cache.insert(artifact_key("check_coloring", params), "A");
   EXPECT_FALSE(
       cache.get(artifact_key("run_decoder", params)).has_value());
+}
+
+// ---------------------------------------------------------------------
+// The one request path: spliced replies, one probe, resolved metrics.
+
+/// The response path before hits were spliced, kept as the reference:
+/// parse the result bytes into a tree, build the response tree, dump.
+std::string tree_path_reply(const Json& id, const std::string& result_bytes,
+                            bool cached) {
+  return ok_response(id, Json::parse(result_bytes), cached,
+                     fnv1a_hex(result_bytes))
+      .dump();
+}
+
+/// One request body as a client writes it; `id` is spliced verbatim
+/// ("" = no id member).
+std::string request_text(const std::string& id, const std::string& op,
+                         const Json& params) {
+  std::string body = "{";
+  if (!id.empty()) {
+    body += "\"id\":" + id + ",";
+  }
+  return body + "\"op\":\"" + op + "\",\"params\":" + params.dump() + "}";
+}
+
+TEST(ServiceOnePass, RepliesAreByteIdenticalToTheTreePath) {
+  Service service;
+  const std::vector<std::pair<std::string, Json>> cacheable = {
+      {"check_coloring", Json::parse(R"({"instance":"cycle5","k":3})")},
+      {"run_decoder",
+       Json::parse(R"({"lcp":"degree-one","instance":"path5",)"
+                   R"("labels":"honest"})")},
+      {"search_witness", Json::parse(R"({"family":"degree-one","max_n":4})")},
+      {"build_nbhd",
+       Json::parse(R"({"lcp":"degree-one","graphs":["path:3","cycle:3"]})")},
+  };
+  // A string, a signed and an unsigned integer, null, no id at all,
+  // and an object.
+  const std::vector<std::string> ids = {
+      R"("c17")", "-7", "18446744073709551615", "null", "",
+      R"({"z":[1,"x"],"a":{"b":null}})"};
+  for (const auto& [op, params] : cacheable) {
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      const Json id = ids[i].empty() ? Json() : Json::parse(ids[i]);
+      const std::string reply =
+          service.handle_text(request_text(ids[i], op, params));
+      const Json parsed = Json::parse(reply);
+      ASSERT_TRUE(parsed.at("ok").as_bool()) << reply;
+      const std::string result = parsed.at("result").dump();
+      // The first id computes (miss), every later one replays (hit).
+      EXPECT_EQ(reply, tree_path_reply(id, result, /*cached=*/i > 0))
+          << op << " id " << ids[i];
+    }
+  }
+
+  // Session ops are never cached; their replies take the same writer.
+  const Json open = Json::parse(
+      R"({"session":"s-bytes","instance":"cycle6","k":2,"rounds":1})");
+  for (const std::string& id : {std::string("5"), std::string()}) {
+    const std::string opened =
+        service.handle_text(request_text(id, "session_open", open));
+    const Json close = Json::parse(R"({"session":"s-bytes"})");
+    const std::string closed =
+        service.handle_text(request_text(id, "session_close", close));
+    const Json id_json = id.empty() ? Json() : Json::parse(id);
+    for (const std::string& reply : {opened, closed}) {
+      const Json parsed = Json::parse(reply);
+      ASSERT_TRUE(parsed.at("ok").as_bool()) << reply;
+      EXPECT_EQ(reply, tree_path_reply(id_json, parsed.at("result").dump(),
+                                       /*cached=*/false));
+    }
+  }
+}
+
+TEST(ServiceOnePass, EachRequestProbesTheCacheOnce) {
+  Service service;
+  const Json params = Json::parse(R"({"instance":"grid23","k":2})");
+  constexpr int kRepeats = 9;
+  for (int i = 0; i < kRepeats; ++i) {
+    ok_result(service.handle(make_request(i, "check_coloring", params)));
+  }
+  CacheStats stats = service.cache_stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, static_cast<std::uint64_t>(kRepeats - 1));
+
+  // A request whose check does not match is refused before the probe.
+  Json tampered = make_request(99, "check_coloring", params);
+  tampered["check"] = fnv1a_hex(artifact_key("check_coloring",
+                                             Json::parse(R"({"k":3})")));
+  EXPECT_EQ(error_code(service.handle(tampered)), kErrIntegrity);
+  stats = service.cache_stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, static_cast<std::uint64_t>(kRepeats - 1));
+
+  // A matching check does not add a probe either.
+  Json checked = make_request(100, "check_coloring", params);
+  checked["check"] = fnv1a_hex(artifact_key("check_coloring", params));
+  EXPECT_TRUE(service.handle(checked).at("cached").as_bool());
+  stats = service.cache_stats();
+  EXPECT_EQ(stats.misses + stats.hits, static_cast<std::uint64_t>(kRepeats + 1));
+}
+
+/// Sends one request of each op, then compares the "service." names in
+/// the metrics registry with those the per-op lookup by formatted name
+/// registered. Returns the exit code: 0 when they match.
+int one_request_per_op_registers_the_same_names() {
+  Service service;
+  const std::vector<std::pair<std::string, Json>> requests = {
+      {"run_decoder",
+       Json::parse(R"({"lcp":"degree-one","instance":"path5",)"
+                   R"("labels":"honest"})")},
+      {"check_coloring", Json::parse(R"({"instance":"path5","k":2})")},
+      {"search_witness", Json::parse(R"({"family":"degree-one","max_n":3})")},
+      {"build_nbhd",
+       Json::parse(R"({"lcp":"degree-one","graphs":["path:3"]})")},
+      {"info", Json::object()},
+      {"health", Json::object()},
+      {"session_open",
+       Json::parse(R"({"session":"s-m","instance":"cycle6","k":2,)"
+                   R"("rounds":1})")},
+      // Wrong state for the session: an error reply.
+      {"session_step",
+       Json::parse(R"({"session":"s-m","msg":{"type":"open","opens":[]}})")},
+      {"session_close", Json::parse(R"({"session":"s-m"})")},
+  };
+  for (const auto& [op, params] : requests) {
+    service.handle(make_request(1, op, params));
+  }
+  std::set<std::string> names;
+  const metrics::Snapshot snap = metrics::snapshot();
+  for (const auto& [name, value] : snap.counters) {
+    names.insert(name);
+  }
+  for (const auto& [name, value] : snap.gauges) {
+    names.insert(name);
+  }
+  for (const auto& [name, hist] : snap.histograms) {
+    names.insert(name);
+  }
+  std::set<std::string> service_names;
+  for (const std::string& name : names) {
+    if (name.rfind("service.", 0) == 0) {
+      service_names.insert(name);
+    }
+  }
+  std::set<std::string> expected = {"service.cache.misses", "service.errors",
+                                    "service.requests",
+                                    "service.sessions.opened"};
+  for (const std::string& op : Service::ops()) {
+    expected.insert("service." + op + ".requests");
+    expected.insert("service." + op + ".latency_ns");
+  }
+  for (const std::string& name : service_names) {
+    if (expected.count(name) == 0) {
+      std::fprintf(stderr, "unexpected metric %s\n", name.c_str());
+    }
+  }
+  for (const std::string& name : expected) {
+    if (service_names.count(name) == 0) {
+      std::fprintf(stderr, "missing metric %s\n", name.c_str());
+    }
+  }
+  return service_names == expected ? 0 : 1;
+}
+
+// Runs in a freshly started copy of this binary (the "threadsafe" death
+// test style re-executes it), so the registry holds only what these
+// requests register.
+TEST(ServiceOnePassDeathTest, OneRequestOfEachOpRegistersTheSameNames) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(std::exit(one_request_per_op_registers_the_same_names()),
+              ::testing::ExitedWithCode(0), "");
+}
+
+// Exactly no budget left is still a deadline: the request is admitted
+// (it is not past its deadline) but runs under the smallest budget,
+// never under none.
+TEST(ServiceErrors, ZeroBudgetLeftStillRunsUnderADeadline) {
+  Service service;
+  Json params = Json::object();
+  params["lcp"] = "degree-one";
+  Json& graphs = (params["graphs"] = Json::array());
+  for (const char* spec : {"path:8", "cycle:8", "path:9"}) {
+    graphs.push_back(spec);
+  }
+  params["build"] = "exhaustive";
+  Json req = make_request(1, "build_nbhd", params);
+  req["deadline_ms"] = 5;
+  const Json response = service.handle(req, /*elapsed_ms=*/5);
+  EXPECT_EQ(error_code(response), kErrDeadline);
+  EXPECT_NE(response.at("error").at("message").as_string().find(
+                "expired its 1 ms deadline budget"),
+            std::string::npos)
+      << response.dump();
 }
 
 // ---------------------------------------------------------------------
